@@ -8,7 +8,6 @@ power-sum basis, and exact tensor-power actions with their commutation and
 rank checks.
 """
 
-from blockperm._kernels import BACKEND as _KERNEL_BACKEND
 from blockperm.hopf import Element, TensorElement
 from blockperm.monoid import UniformBlockPermutation
 from blockperm.partitions import PartitionType, SetPartition
@@ -18,8 +17,8 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Which composition kernel is active: "cython" or "python"."""
-    return _KERNEL_BACKEND
+    """The composition kernel in use; the only one is "python"."""
+    return "python"
 
 
 __all__ = [

@@ -1,14 +1,12 @@
-"""Pure-Python composition kernels.
+"""The composition kernel and the canonical relabelling of label rows.
 
 A uniform block permutation on ``[n]`` is encoded as a pair of label rows
 ``(top, bot)``: ``top[i]`` is the id of the diagram component containing
 top vertex ``i + 1`` and ``bot[j]`` the id of the component containing
 bottom vertex ``j + 1``.  The encoding is canonical when component ids are
 assigned in order of first appearance along the top row, which makes the
-pair usable directly as a hash/equality key.
-
-The compiled module ``blockperm._glue`` implements the same two functions;
-``blockperm._kernels`` picks whichever is available at import time.
+pair usable directly as a hash/equality key.  It is the representation of
+:class:`blockperm.monoid.UniformBlockPermutation`.
 """
 
 from __future__ import annotations

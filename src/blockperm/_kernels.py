@@ -1,23 +1,8 @@
-"""Selects the composition kernel backend at import time.
+"""The composition kernel under the name the benchmark harness imports.
 
-The compiled extension is preferred; set ``BLOCKPERM_PURE=1`` to force the
-pure-Python fallback (used by the benchmark and the agreement tests).
+There is one kernel, the pure-Python one in :mod:`blockperm._glue_py`.
 """
 
-import os
+from blockperm._glue_py import glue_labels
 
-if os.environ.get("BLOCKPERM_PURE"):
-    from blockperm._glue_py import canonical_labels, glue_labels
-
-    BACKEND = "python"
-else:
-    try:
-        from blockperm._glue import canonical_labels, glue_labels
-
-        BACKEND = "cython"
-    except ImportError:
-        from blockperm._glue_py import canonical_labels, glue_labels
-
-        BACKEND = "python"
-
-__all__ = ["BACKEND", "canonical_labels", "glue_labels"]
+__all__ = ["glue_labels"]

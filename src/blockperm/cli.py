@@ -262,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hasse = sub.add_parser("hasse", help="weak-order component of a partition")
     p_hasse.add_argument("partition")
-    p_hasse.add_argument(
-        "--dot", action="store_true", help="emit DOT text (the default text form)"
-    )
     _add_format(p_hasse)
     p_hasse.set_defaults(func=_hasse)
 

@@ -229,7 +229,7 @@ def to_lower_basis(x: Element) -> Element:
     for a in sorted({f.domain for f in x.terms}):
         for g in _component_descending(a):
             c = x.coeff(g) - sum(
-                ch for h, ch in coords.items() if h.domain == a and weak_leq(g, h)
+                ch for h, ch in coords.items() if h.top == g.top and weak_leq(g, h)
             )
             if c:
                 coords[g] = c
@@ -254,7 +254,7 @@ def to_upper_basis(x: Element) -> Element:
     for a in sorted({f.domain for f in x.terms}):
         for g in reversed(_component_descending(a)):
             c = x.coeff(g) - sum(
-                ch for h, ch in coords.items() if h.domain == a and weak_leq(h, g)
+                ch for h, ch in coords.items() if h.top == g.top and weak_leq(h, g)
             )
             if c:
                 coords[g] = c

@@ -10,6 +10,11 @@ of this orientation, all covered by tests:
 * ``compose(f, from_permutation(sigma))`` has domain ``sigma^{-1}(dom f)``;
 * ``id_of_partition(a) . id_of_partition(b) == id_of_partition(meet(a, b))``.
 
+An element is stored as the canonical label rows of its diagram (the
+encoding of :mod:`blockperm._glue_py`), and every operation here reads and
+writes those rows.  The partition form (domain, codomain, block map) is
+derived on request.
+
 Text form: domain-ordered block arrows joined by ";", e.g.
 ``{1,3}->{1,2};{2}->{3}``; the empty diagram (n = 0) prints as ``{}->{}``.
 """
@@ -19,17 +24,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Iterable, Sequence
 
-from blockperm._kernels import canonical_labels, glue_labels
-from blockperm.partitions import (
-    SetPartition,
-    block_shuffles,
-    cross,
-    restrict_standardize,
-    set_partitions,
-)
+from blockperm._glue_py import canonical_labels, glue_labels
+from blockperm.partitions import SetPartition, block_shuffles, set_partitions
 from blockperm.perms import Permutation, weak_leq as perm_weak_leq
 
 DEFAULT_CEILING = 6
@@ -60,103 +60,202 @@ def _check_ceiling(n: int, ceiling: int | None) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True, slots=True)
 class UniformBlockPermutation:
     """A size-preserving bijection between the blocks of two partitions.
 
-    ``block_map[k]`` is the index, in canonical block order of the codomain,
-    of the image of the k-th domain block.  Instances are validated on
+    ``top[i]`` is the index of the domain block containing i + 1, and
+    ``bot[j]`` the index of the domain block whose image contains j + 1.
+    Domain blocks are numbered in canonical order, so labels first appear
+    along ``top`` in increasing order.  The rows are validated on
     construction, so every value in circulation is uniform.
+
+    Elements sort as the tuple ``(domain, codomain, block_map)``, where
+    ``block_map[k]`` is the index, in canonical block order of the codomain,
+    of the image of the k-th domain block.
     """
 
-    domain: SetPartition
-    codomain: SetPartition
-    block_map: tuple[int, ...]
+    top: tuple[int, ...]
+    bot: tuple[int, ...]
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dom, cod = self.domain, self.codomain
-        if dom.n != cod.n:
-            raise ValueError(f"domain on [{dom.n}] but codomain on [{cod.n}]")
-        k = dom.num_blocks
-        if cod.num_blocks != k:
-            raise ValueError(
-                f"domain has {k} blocks but codomain has {cod.num_blocks}"
-            )
-        if sorted(self.block_map) != list(range(k)):
-            raise ValueError(f"block map {self.block_map!r} is not a bijection")
-        for i, j in enumerate(self.block_map):
-            if len(dom.blocks[i]) != len(cod.blocks[j]):
-                raise ValueError(
-                    f"non-uniform: block {dom.blocks[i]} maps to {cod.blocks[j]}"
-                )
+        top, bot = self.top, self.bot
+        if type(top) is not tuple or type(bot) is not tuple:
+            raise TypeError("label rows must be tuples")
+        labels = list(dict.fromkeys(top))
+        if labels != list(range(len(labels))) or sorted(top) != sorted(bot):
+            _reject(top, bot)
+
+    def __reduce__(self):
+        # The sort key is a cache: pickle the rows and validate them again.
+        return (type(self), (self.top, self.bot))
+
+    def _sort_key(self) -> tuple:
+        """(n, domain blocks, codomain blocks, block map), computed once."""
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        domain = _fibres(self.top)
+        images = _fibres(self.bot)
+        # Fibres are disjoint and non-empty, so they sort by their minima.
+        order = sorted(range(len(images)), key=images.__getitem__)
+        block_map = [0] * len(order)
+        for pos, label in enumerate(order):
+            block_map[label] = pos
+        key = (
+            len(self.top),
+            domain,
+            tuple(images[label] for label in order),
+            tuple(block_map),
+        )
+        object.__setattr__(self, "_key", key)
+        return key
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._sort_key() < other._sort_key()
 
     @property
     def n(self) -> int:
-        return self.domain.n
+        return len(self.top)
+
+    @property
+    def domain(self) -> SetPartition:
+        key = self._sort_key()
+        return SetPartition(key[0], key[1])
+
+    @property
+    def codomain(self) -> SetPartition:
+        key = self._sort_key()
+        return SetPartition(key[0], key[2])
+
+    @property
+    def block_map(self) -> tuple[int, ...]:
+        return self._sort_key()[3]
 
     def image_block(self, k: int) -> tuple[int, ...]:
-        return self.codomain.blocks[self.block_map[k]]
+        key = self._sort_key()
+        return key[2][key[3][k]]
 
     def is_permutation(self) -> bool:
         """True iff all blocks are singletons."""
-        return self.domain.num_blocks == self.n
+        return len(set(self.top)) == len(self.top)
 
     def to_permutation(self) -> Permutation:
         if not self.is_permutation():
             raise ValueError("not a permutation: has a block of size > 1")
         images = [0] * self.n
-        for k, block in enumerate(self.domain.blocks):
-            images[block[0] - 1] = self.image_block(k)[0]
+        for j, label in enumerate(self.bot, start=1):
+            images[label] = j
         return Permutation(tuple(images))
 
     def __str__(self) -> str:
-        if self.n == 0:
+        if not self.top:
             return "{}->{}"
-        arrows = []
-        for k, block in enumerate(self.domain.blocks):
-            dom = "{" + ",".join(str(i) for i in block) + "}"
-            cod = "{" + ",".join(str(i) for i in self.image_block(k)) + "}"
-            arrows.append(dom + "->" + cod)
-        return ";".join(arrows)
+        return ";".join(
+            _block_text(dom) + "->" + _block_text(cod)
+            for dom, cod in zip(_fibres(self.top), _fibres(self.bot))
+        )
 
 
 UBP = UniformBlockPermutation
 
 
-def make_ubp(
+def _fibres(row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """fibres[label] = the positions 1..n carrying that label, increasing."""
+    out: list[list[int]] = [[] for _ in range(max(row, default=-1) + 1)]
+    for pos, label in enumerate(row, start=1):
+        out[label].append(pos)
+    return tuple(map(tuple, out))
+
+
+def _block_text(block: Iterable[int]) -> str:
+    return "{" + ",".join(str(i) for i in block) + "}"
+
+
+def _reject(top: tuple, bot: tuple) -> None:
+    """Raise ValueError naming the first defect of rows that failed the
+    quick check in ``UniformBlockPermutation.__post_init__``."""
+    if len(top) != len(bot):
+        raise ValueError(f"label rows of unequal length: top {top!r}, bottom {bot!r}")
+    excess: dict = {}
+    for label in top:
+        if label not in excess and label != len(excess):
+            raise ValueError(
+                f"top row {top!r} is not canonical: label {label!r} is out of "
+                "range or out of first-appearance order"
+            )
+        excess[label] = excess.get(label, 0) + 1
+    for label in bot:
+        if label not in excess:
+            raise ValueError(f"bottom label {label!r} does not occur in the top row {top!r}")
+        excess[label] -= 1
+    for label, count in excess.items():
+        if count:
+            dom = tuple(i for i, x in enumerate(top, start=1) if x == label)
+            cod = tuple(j for j, x in enumerate(bot, start=1) if x == label)
+            raise ValueError(f"non-uniform: block {dom} maps to {cod}")
+    raise ValueError(f"invalid label rows {top!r}, {bot!r}")
+
+
+def _from_partitions(
     domain: SetPartition, codomain: SetPartition, block_map: Sequence[int]
 ) -> UBP:
-    return UBP(domain, codomain, tuple(block_map))
+    """The element sending the k-th domain block onto codomain block
+    ``block_map[k]``."""
+    if len(block_map) != domain.num_blocks or sorted(block_map) != list(
+        range(codomain.num_blocks)
+    ):
+        raise ValueError(
+            f"block map {tuple(block_map)!r} is not a bijection from "
+            f"{domain.num_blocks} domain blocks onto {codomain.num_blocks}"
+        )
+    bot = [0] * codomain.n
+    for label, j in enumerate(block_map):
+        for pos in codomain.blocks[j]:
+            bot[pos - 1] = label
+    return UBP(domain.position_labels(), tuple(bot))
 
 
 def from_block_images(n: int, arrows: Iterable[tuple[Iterable[int], Iterable[int]]]) -> UBP:
     """Build an element from (domain block, image block) pairs in any order."""
     pairs = [(tuple(sorted(d)), tuple(sorted(c))) for d, c in arrows]
     pairs.sort(key=lambda p: p[0][0] if p[0] else 0)
-    domain = SetPartition.from_blocks(n, [d for d, _ in pairs])
-    codomain = SetPartition.from_blocks(n, [c for _, c in pairs])
-    rank = {block: j for j, block in enumerate(codomain.blocks)}
-    return UBP(domain, codomain, tuple(rank[c] for _, c in pairs))
+    # Both sides must be partitions of [n]; from_blocks says what is wrong.
+    SetPartition.from_blocks(n, [d for d, _ in pairs])
+    SetPartition.from_blocks(n, [c for _, c in pairs])
+    top = [0] * n
+    bot = [0] * n
+    for label, (dom, cod) in enumerate(pairs):
+        for i in dom:
+            top[i - 1] = label
+        for j in cod:
+            bot[j - 1] = label
+    return UBP(tuple(top), tuple(bot))
 
 
 def identity(n: int) -> UBP:
     """All-singletons identity element."""
-    singles = tuple((i,) for i in range(1, n + 1))
-    part = SetPartition(n, singles)
-    return UBP(part, part, tuple(range(n)))
+    top = tuple(range(n))
+    return UBP(top, top)
 
 
 def id_of_partition(a: SetPartition) -> UBP:
     """The identity map on the blocks of ``a``; idempotent."""
-    return UBP(a, a, tuple(range(a.num_blocks)))
+    top = a.position_labels()
+    return UBP(top, top)
 
 
 def from_permutation(sigma: Permutation) -> UBP:
     """View a permutation as an element with all blocks singletons."""
-    n = sigma.n
-    singles = tuple((i,) for i in range(1, n + 1))
-    part = SetPartition(n, singles)
-    return UBP(part, part, tuple(sigma(i) - 1 for i in range(1, n + 1)))
+    bot = [0] * sigma.n
+    for label, image in enumerate(sigma.images):
+        bot[image - 1] = label
+    return UBP(tuple(range(sigma.n)), tuple(bot))
 
 
 def transposition_generator(n: int, i: int) -> UBP:
@@ -171,41 +270,25 @@ def merge_generator(n: int, i: int) -> UBP:
     if not 1 <= i <= n - 1:
         raise ValueError(f"merge generator index {i} out of range for n={n}")
     blocks = [(j,) for j in range(1, i)] + [(i, i + 1)] + [(j,) for j in range(i + 2, n + 1)]
-    part = SetPartition(n, tuple(blocks))
-    return UBP(part, part, tuple(range(len(blocks))))
+    return id_of_partition(SetPartition(n, tuple(blocks)))
 
 
 def to_labels(f: UBP) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical label rows (top = domain side, bottom = codomain side).
 
     Component ids are domain-block indices; the encoding is the one the
-    composition kernels operate on.
+    composition kernel operates on.
     """
-    top = f.domain.position_labels()
-    inverse_map = [0] * len(f.block_map)
-    for k, j in enumerate(f.block_map):
-        inverse_map[j] = k
-    cod_labels = f.codomain.position_labels()
-    bot = tuple(inverse_map[label] for label in cod_labels)
-    return top, bot
+    return f.top, f.bot
 
 
 def from_labels(n: int, top: Sequence[int], bot: Sequence[int]) -> UBP:
-    """Inverse of :func:`to_labels`; expects canonical label rows."""
-    k = max(top, default=-1) + 1
-    dom_blocks: list[list[int]] = [[] for _ in range(k)]
-    cod_fibers: list[list[int]] = [[] for _ in range(k)]
-    for i, label in enumerate(top, start=1):
-        dom_blocks[label].append(i)
-    for j, label in enumerate(bot, start=1):
-        cod_fibers[label].append(j)
-    domain = SetPartition(n, tuple(tuple(b) for b in dom_blocks))
-    order = sorted(range(k), key=lambda label: cod_fibers[label][0])
-    rank = [0] * k
-    for pos, label in enumerate(order):
-        rank[label] = pos
-    codomain = SetPartition(n, tuple(tuple(cod_fibers[label]) for label in order))
-    return UBP(domain, codomain, tuple(rank))
+    """Inverse of :func:`to_labels`; rejects rows that are not canonical
+    label rows of a diagram on [n]."""
+    f = UBP(tuple(top), tuple(bot))
+    if f.n != n:
+        raise ValueError(f"label rows have length {f.n}, not {n}")
+    return f
 
 
 def compose(g: UBP, f: UBP) -> UBP:
@@ -218,31 +301,26 @@ def compose(g: UBP, f: UBP) -> UBP:
     """
     if f.n != g.n:
         raise ValueError(f"size mismatch: {g.n} vs {f.n}")
-    ftop, fbot = to_labels(f)
-    gtop, gbot = to_labels(g)
-    top, bot = glue_labels(ftop, fbot, gtop, gbot)
-    return from_labels(f.n, top, bot)
+    return UBP(*glue_labels(f.top, f.bot, g.top, g.bot))
 
 
 def left_compose_perm(sigma: Permutation, f: UBP) -> UBP:
     """compose(from_permutation(sigma), f): relabels the codomain side only."""
     if sigma.n != f.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {f.n}")
-    top, bot = to_labels(f)
+    bot = f.bot
     new_bot = [0] * f.n
-    for i in range(1, f.n + 1):
-        new_bot[sigma(i) - 1] = bot[i - 1]
-    return from_labels(f.n, top, tuple(new_bot))
+    for j, image in enumerate(sigma.images):
+        new_bot[image - 1] = bot[j]
+    return UBP(f.top, tuple(new_bot))
 
 
 def right_compose_perm(f: UBP, sigma: Permutation) -> UBP:
     """compose(f, from_permutation(sigma)): domain becomes sigma^{-1}(dom f)."""
     if sigma.n != f.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {f.n}")
-    top, bot = to_labels(f)
-    new_top = tuple(top[sigma(i) - 1] for i in range(1, f.n + 1))
-    ctop, cbot = canonical_labels(new_top, bot)
-    return from_labels(f.n, ctop, cbot)
+    top = f.top
+    return UBP(*canonical_labels([top[image - 1] for image in sigma.images], f.bot))
 
 
 def diagram_inverse(f: UBP) -> UBP:
@@ -251,19 +329,16 @@ def diagram_inverse(f: UBP) -> UBP:
     This is the unique inverse-monoid partner of f: f.finv.f == f and
     finv.f.finv == finv; on permutations it is the group inverse.
     """
-    inverse_map = [0] * len(f.block_map)
-    for k, j in enumerate(f.block_map):
-        inverse_map[j] = k
-    return UBP(f.codomain, f.domain, tuple(inverse_map))
+    return UBP(*canonical_labels(f.bot, f.top))
 
 
 def concat(f: UBP, g: UBP) -> UBP:
     """Place g's diagram, shifted by f.n, to the right of f's."""
-    domain = cross(f.domain, g.domain)
-    codomain = cross(f.codomain, g.codomain)
-    a = f.domain.num_blocks
-    block_map = f.block_map + tuple(j + a for j in g.block_map)
-    return UBP(domain, codomain, block_map)
+    shift = max(f.top, default=-1) + 1
+    return UBP(
+        f.top + tuple(label + shift for label in g.top),
+        f.bot + tuple(label + shift for label in g.bot),
+    )
 
 
 def enumerate_ubp(n: int, ceiling: int | None = None) -> list[UBP]:
@@ -300,7 +375,7 @@ def _block_bijections(domain: SetPartition, codomain: SetPartition) -> list[UBP]
         for s, arrangement in zip(sizes, combo):
             for k, j in zip(dom_by_size[s], arrangement):
                 block_map[k] = j
-        out.append(UBP(domain, codomain, tuple(block_map)))
+        out.append(_from_partitions(domain, codomain, block_map))
     return out
 
 
@@ -383,18 +458,22 @@ def count_ubp_recursive(n: int) -> int:
 
 
 def breaking_points(f: UBP) -> tuple[int, ...]:
-    """All i in {0..n} such that {1..i} is a union of codomain blocks.
+    """All i in {0..n} such that {1..i} is a union of codomain blocks, i.e.
+    no label occurs both in ``bot[:i]`` and in ``bot[i:]``.
 
     0 and n are always breaking points; for a permutation every i is.
 
     >>> breaking_points(parse_ubp("{1,3}->{1,2};{2}->{3}"))
     (0, 2, 3)
     """
-    spans = [(block[0], block[-1]) for block in f.codomain.blocks]
-    out = []
-    for i in range(f.n + 1):
-        if all(last <= i or first > i for first, last in spans):
-            out.append(i)
+    last = {label: j for j, label in enumerate(f.bot, start=1)}
+    out = [0]
+    reach = 0  # last position of any label seen so far
+    for j, label in enumerate(f.bot, start=1):
+        if last[label] > reach:
+            reach = last[label]
+        if reach == j:
+            out.append(j)
     return tuple(out)
 
 
@@ -410,34 +489,15 @@ def split_at_breaking_point(f: UBP, i: int) -> tuple[Permutation, UBP, UBP]:
     Uniqueness of xi among the (i, n-i)-shuffles is checked exhaustively in
     the test suite rather than assumed.
     """
-    n = f.n
-    if i not in breaking_points(f):
+    top, bot = f.top, f.bot
+    prefix = set(bot[:i])
+    if not 0 <= i <= len(bot) or not prefix.isdisjoint(bot[i:]):
         raise ValueError(f"{i} is not a breaking point of {f}")
-    prefix_ids = [
-        k for k, j in enumerate(f.block_map) if f.codomain.blocks[j][-1] <= i
-    ]
-    chosen = set(prefix_ids)
-    suffix_ids = [k for k in range(len(f.block_map)) if k not in chosen]
-    left = _restrict_to_blocks(f, prefix_ids)
-    right = _restrict_to_blocks(f, suffix_ids)
-    support = sorted(x for k in prefix_ids for x in f.domain.blocks[k])
-    rest = sorted(set(range(1, n + 1)) - set(support))
-    xi = Permutation(tuple(support + rest))
-    return xi, left, right
-
-
-def _restrict_to_blocks(f: UBP, ids: Sequence[int]) -> UBP:
-    """Standardized restriction of f to the given domain-block indices."""
-    dom = restrict_standardize(f.domain, ids)
-    cod = restrict_standardize(f.codomain, [f.block_map[k] for k in ids])
-    dom_sorted = sorted(ids, key=lambda k: f.domain.blocks[k][0])
-    cod_order = sorted(
-        (f.block_map[k] for k in ids),
-        key=lambda j: f.codomain.blocks[j][0],
-    )
-    rank = {j: pos for pos, j in enumerate(cod_order)}
-    block_map = tuple(rank[f.block_map[k]] for k in dom_sorted)
-    return UBP(dom, cod, block_map)
+    left = UBP(*canonical_labels([label for label in top if label in prefix], bot[:i]))
+    right = UBP(*canonical_labels([label for label in top if label not in prefix], bot[i:]))
+    support = [t for t, label in enumerate(top, start=1) if label in prefix]
+    rest = [t for t, label in enumerate(top, start=1) if label not in prefix]
+    return Permutation(tuple(support + rest)), left, right
 
 
 @dataclass(frozen=True)
@@ -452,14 +512,17 @@ class ShuffleFactorization:
         return compose(from_permutation(self.shuffle), id_of_partition(self.domain))
 
 
+def _block_shuffle(f: UBP) -> Permutation:
+    """Each domain block, in increasing order, onto its image block in
+    increasing order."""
+    images = [iter(block) for block in _fibres(f.bot)]
+    return Permutation(tuple(next(images[label]) for label in f.top))
+
+
 def shuffle_factorization(f: UBP) -> ShuffleFactorization:
     """Extract the block-shuffle factor: each domain block, in increasing
     order, maps onto its image block in increasing order."""
-    images = [0] * f.n
-    for k, block in enumerate(f.domain.blocks):
-        for src, dst in zip(block, f.image_block(k)):
-            images[src - 1] = dst
-    return ShuffleFactorization(Permutation(tuple(images)), f.domain)
+    return ShuffleFactorization(_block_shuffle(f), f.domain)
 
 
 def weak_leq(f: UBP, g: UBP) -> bool:
@@ -470,11 +533,9 @@ def weak_leq(f: UBP, g: UBP) -> bool:
     """
     if f.n != g.n:
         raise ValueError(f"size mismatch: {f.n} vs {g.n}")
-    if f.domain != g.domain:
+    if f.top != g.top:
         return False
-    return perm_weak_leq(
-        shuffle_factorization(f).shuffle, shuffle_factorization(g).shuffle
-    )
+    return perm_weak_leq(_block_shuffle(f), _block_shuffle(g))
 
 
 def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
@@ -536,15 +597,16 @@ def _parse_block(text: str, context: str) -> tuple[int, ...]:
 def ubp_to_json(f: UBP) -> dict:
     """JSON form: blocks and images are the canonical block lists, map holds
     0-based codomain block indices."""
+    n, blocks, images, block_map = f._sort_key()
     return {
-        "n": f.n,
-        "blocks": [list(b) for b in f.domain.blocks],
-        "images": [list(b) for b in f.codomain.blocks],
-        "map": list(f.block_map),
+        "n": n,
+        "blocks": [list(b) for b in blocks],
+        "images": [list(b) for b in images],
+        "map": list(block_map),
     }
 
 
 def ubp_from_json(data: dict) -> UBP:
     domain = SetPartition.from_blocks(data["n"], data["blocks"])
     codomain = SetPartition.from_blocks(data["n"], data["images"])
-    return UBP(domain, codomain, tuple(data["map"]))
+    return _from_partitions(domain, codomain, data["map"])

@@ -120,11 +120,12 @@ def from_element(x: Element) -> NCSymElement:
     Raises ValueError, reporting the residual, if ``x`` is not in the span
     of the domain-class sums.
     """
-    by_domain: dict[SetPartition, dict] = {}
+    by_top: dict[tuple[int, ...], dict] = {}
     for f, c in x.terms.items():
-        by_domain.setdefault(f.domain, {})[f] = c
+        by_top.setdefault(f.top, {})[f] = c
+    by_domain = sorted((next(iter(chunk)).domain, chunk) for chunk in by_top.values())
     coords: dict[SetPartition, int] = {}
-    for a, chunk in sorted(by_domain.items()):
+    for a, chunk in by_domain:
         coeffs = set(chunk.values())
         expected = domain_class_sum(a)
         if len(coeffs) == 1 and len(chunk) == len(expected.terms):

@@ -49,13 +49,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_index_of(self, i: int) -> int:
-        """Index of the block containing the element i."""
-        for k, block in enumerate(self.blocks):
-            if i in block:
-                return k
-        raise ValueError(f"element {i} not in 1..{self.n}")
-
     def position_labels(self) -> tuple[int, ...]:
         """labels[i - 1] = index of the block containing i."""
         labels = [0] * self.n

@@ -137,8 +137,9 @@ def shuffles(p: int, q: int) -> list[Permutation]:
 
 
 def max_shuffle(p: int, q: int) -> Permutation:
-    """The (p, q)-shuffle sending i to q + i for i <= p; the unique maximum
-    of shuffles(p, q) in the weak order.
+    """The (p, q)-shuffle sending i to q + i for i <= p, i.e. moving the
+    first p positions past the last q; the unique maximum of shuffles(p, q)
+    in the weak order.  Its inverse is max_shuffle(q, p).
 
     >>> str(max_shuffle(2, 2))
     '[3,4,1,2]'
@@ -146,15 +147,6 @@ def max_shuffle(p: int, q: int) -> Permutation:
     if p < 0 or q < 0:
         raise ValueError("shuffle sizes must be non-negative")
     return Permutation(tuple(range(q + 1, q + p + 1)) + tuple(range(1, q + 1)))
-
-
-def rotation_shuffle(n: int, m: int) -> Permutation:
-    """The (n, m)-shuffle moving the first n positions past the last m:
-    i -> m + i for i <= n, i -> i - n otherwise.  Its inverse is
-    rotation_shuffle(m, n)."""
-    if n < 0 or m < 0:
-        raise ValueError("shuffle sizes must be non-negative")
-    return Permutation(tuple(range(m + 1, m + n + 1)) + tuple(range(1, m + 1)))
 
 
 def concat_perms(sigma: Permutation, tau: Permutation) -> Permutation:

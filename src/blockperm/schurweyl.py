@@ -2,8 +2,8 @@
 
 The diagram monoid acts on the right of the n-th tensor power of an
 m-dimensional space: a basis word survives iff it is constant on every
-codomain block, and is then rewritten through the shuffle factor onto the
-domain blocks.  The wreath product of a cyclic group of order r with the
+codomain block, and each block's letter is then carried to the matching
+domain block.  The wreath product of a cyclic group of order r with the
 symmetric group on m letters acts diagonally on the left, with the cyclic
 generator scaling one coordinate by a primitive r-th root of unity.
 
@@ -25,7 +25,6 @@ from blockperm.monoid import (
     UBP,
     enumerate_ubp,
     merge_generator,
-    shuffle_factorization,
     transposition_generator,
 )
 from blockperm.perms import Permutation, adjacent_transposition
@@ -219,16 +218,15 @@ def word_index(word: Sequence[int], m: int) -> int:
 def ubp_word_action(f: UBP, word: Sequence[int]) -> tuple[int, ...] | None:
     """Right action of a diagram on a basis word.
 
-    The word survives iff it is constant on every codomain block; the result
-    carries each block's letter back to the domain block through the block
-    bijection (position t receives the letter at the shuffle factor's image
-    of t)."""
-    xi = shuffle_factorization(f).shuffle
-    for block in f.codomain.blocks:
-        letter = word[block[0] - 1]
-        if any(word[i - 1] != letter for i in block[1:]):
+    The word survives iff it is constant on every codomain block, i.e. on
+    the positions sharing a label of ``f.bot``; the result carries each
+    block's letter back to the domain block through the block bijection
+    (position t receives the letter of label ``f.top[t - 1]``)."""
+    letters: dict[int, int] = {}
+    for letter, label in zip(word, f.bot):
+        if letters.setdefault(label, letter) != letter:
             return None
-    return tuple(word[xi(t) - 1] for t in range(1, f.n + 1))
+    return tuple(letters[label] for label in f.top)
 
 
 def ubp_action_matrix(

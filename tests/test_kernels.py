@@ -1,24 +1,8 @@
-"""The compiled and pure-Python composition kernels must agree exactly."""
-
-import itertools
-import random
+"""The composition kernel on hand-checked label rows."""
 
 import pytest
 
 from blockperm import _glue_py
-from blockperm._kernels import BACKEND
-from blockperm.monoid import enumerate_ubp, to_labels
-
-try:
-    from blockperm import _glue as _glue_cy
-except ImportError:
-    _glue_cy = None
-
-needs_ext = pytest.mark.skipif(_glue_cy is None, reason="compiled kernel not built")
-
-
-def all_label_pairs(n):
-    return [to_labels(f) for f in enumerate_ubp(n)]
 
 
 class TestPureKernel:
@@ -37,48 +21,3 @@ class TestPureKernel:
     def test_glue_swap_squares_to_identity(self):
         top, bot = (0, 1), (1, 0)
         assert _glue_py.glue_labels(top, bot, top, bot) == ((0, 1), (0, 1))
-
-
-@needs_ext
-class TestBackendAgreement:
-    def test_active_backend_is_compiled(self):
-        # the suite runs against the build in this checkout; if the extension
-        # is importable it should have been selected
-        import os
-
-        if not os.environ.get("BLOCKPERM_PURE"):
-            assert BACKEND == "cython"
-
-    def test_canonical_labels_agree(self):
-        cases = [
-            ((), ()),
-            ((0,), (0,)),
-            ((1, 0, 1), (0, 1, 1)),
-            ((2, 0, 1, 2), (0, 2, 1, 2)),
-        ]
-        for top, bot in cases:
-            assert _glue_cy.canonical_labels(top, bot) == _glue_py.canonical_labels(
-                top, bot
-            )
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_glue_agrees_exhaustively(self, n):
-        pairs = all_label_pairs(n)
-        for (ft, fb), (gt, gb) in itertools.product(pairs, repeat=2):
-            assert _glue_cy.glue_labels(ft, fb, gt, gb) == _glue_py.glue_labels(
-                ft, fb, gt, gb
-            )
-
-    def test_glue_agrees_sampled_degree_four(self):
-        pairs = all_label_pairs(4)
-        rng = random.Random(7)
-        for _ in range(500):
-            ft, fb = rng.choice(pairs)
-            gt, gb = rng.choice(pairs)
-            assert _glue_cy.glue_labels(ft, fb, gt, gb) == _glue_py.glue_labels(
-                ft, fb, gt, gb
-            )
-
-    def test_error_behaviour_matches(self):
-        with pytest.raises(ValueError, match="no top vertex"):
-            _glue_cy.canonical_labels((0, 0), (0, 1))

@@ -1,11 +1,13 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockperm.monoid import (
     EnumerationCeilingError,
+    UniformBlockPermutation,
     breaking_points,
     closure_from_generators,
     compose,
@@ -21,7 +23,6 @@ from blockperm.monoid import (
     id_of_partition,
     identity,
     left_compose_perm,
-    make_ubp,
     merge_generator,
     parse_ubp,
     right_compose_perm,
@@ -59,15 +60,14 @@ class TestConstruction:
         assert f.image_block(1) == (3,)
 
     def test_non_uniform_rejected(self):
-        domain = parse_set_partition("{1,3}{2}")
-        codomain = parse_set_partition("{1,2}{3}")
+        data = {"n": 3, "blocks": [[1, 3], [2]], "images": [[1, 2], [3]], "map": [1, 0]}
         with pytest.raises(ValueError, match="non-uniform"):
-            make_ubp(domain, codomain, (1, 0))
+            ubp_from_json(data)
 
     def test_non_bijective_rejected(self):
-        domain = parse_set_partition("{1}{2}")
+        data = {"n": 2, "blocks": [[1], [2]], "images": [[1], [2]], "map": [0, 0]}
         with pytest.raises(ValueError, match="bijection"):
-            make_ubp(domain, domain, (0, 0))
+            ubp_from_json(data)
 
     def test_empty_element(self):
         e = identity(0)
@@ -87,6 +87,49 @@ class TestConstruction:
         )
         assert str(f) == "{1,3,4}->{3,5,6};{2}->{4};{5,7}->{1,2};{6}->{8};{8}->{7}"
         assert parse_ubp(str(f)) == f
+
+
+class TestRowValidation:
+    """Every construction validates the rows, whatever built them."""
+
+    @pytest.mark.parametrize(
+        "top,bot,match",
+        [
+            ((0, 1), (0,), "unequal length"),
+            ((0, 0), (0, 0, 0), "unequal length"),
+            ((0, -1), (0, -1), "not canonical"),
+            ((0, 1), (0, -1), "does not occur"),
+            ((0, 1), (1, 2**40), "does not occur"),
+            ((0, 5), (5, 0), "not canonical"),
+            ((1, 0), (1, 0), "not canonical"),
+            ((0, 2, 1), (0, 1, 2), "not canonical"),
+            ((0, 0), (0, 1), "does not occur"),
+            ((0, 0, 1), (0, 1, 1), "non-uniform"),
+        ],
+        ids=[
+            "shorter-bottom",
+            "longer-bottom",
+            "negative-top",
+            "negative-bottom",
+            "out-of-range-bottom",
+            "out-of-range-top",
+            "first-appearance-order",
+            "skipped-label",
+            "bottom-label-missing-from-top",
+            "non-uniform",
+        ],
+    )
+    def test_rejected(self, top, bot, match):
+        with pytest.raises(ValueError, match=match):
+            UniformBlockPermutation(top, bot)
+
+    def test_rows_must_be_tuples(self):
+        with pytest.raises(TypeError, match="tuples"):
+            UniformBlockPermutation([0], [0])
+
+    def test_row_encoding(self):
+        # {1,3} -> {1,2}, {2} -> {3}: top labels domain blocks, bot their images
+        assert UniformBlockPermutation((0, 1, 0), (0, 0, 1)) == the_f1()
 
 
 class TestLabels:
@@ -173,6 +216,48 @@ class TestCompose:
 def ubp_strategy(draw, n=4):
     elems = enumerate_ubp(n)
     return draw(st.sampled_from(elems))
+
+
+@st.composite
+def diagrams(draw, n=None):
+    """Any diagram of degree n (drawn from 0..8 if not given): a canonical
+    top row and a rearrangement of it as the bottom row."""
+    if n is None:
+        n = draw(st.integers(0, 8))
+    top: list[int] = []
+    for _ in range(n):
+        top.append(draw(st.integers(0, max(top, default=-1) + 1)))
+    bot = [0] * n
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        bot[j] = top[i]
+    return UniformBlockPermutation(tuple(top), tuple(bot))
+
+
+def partition_order(f):
+    return (f.domain, f.codomain, f.block_map)
+
+
+class TestPastExhaustiveBound:
+    """Round trips and canonical order on diagrams up to degree 8."""
+
+    @given(diagrams())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trips(self, f):
+        assert parse_ubp(str(f)) == f
+        assert ubp_from_json(ubp_to_json(f)) == f
+        assert from_labels(f.n, *to_labels(f)) == f
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and str(g) == str(f)
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(diagrams(n), max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_order_within_a_degree(self, xs):
+        assert sorted(xs) == sorted(xs, key=partition_order)
+
+    @given(st.lists(diagrams(), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_order_across_degrees(self, xs):
+        assert sorted(xs) == sorted(xs, key=partition_order)
 
 
 class TestComposeProperties:

@@ -10,7 +10,6 @@ from blockperm.perms import (
     concat_perms,
     max_shuffle,
     parse_permutation,
-    rotation_shuffle,
     shuffles,
     weak_leq,
 )
@@ -157,23 +156,20 @@ class TestShuffles:
 
 
 class TestRotationShuffle:
+    """max_shuffle(n, m) rotates the first n positions past the last m."""
+
     def test_three_four(self):
-        assert rotation_shuffle(3, 4).images == (5, 6, 7, 1, 2, 3, 4)
+        assert max_shuffle(3, 4).images == (5, 6, 7, 1, 2, 3, 4)
 
     def test_degenerate(self):
-        assert rotation_shuffle(4, 0) == Permutation.identity(4)
-        assert rotation_shuffle(0, 4) == Permutation.identity(4)
+        assert max_shuffle(4, 0) == Permutation.identity(4)
+        assert max_shuffle(0, 4) == Permutation.identity(4)
 
     def test_inverse_pair(self):
         for n in range(4):
             for m in range(4):
-                prod = rotation_shuffle(n, m) * rotation_shuffle(m, n)
+                prod = max_shuffle(n, m) * max_shuffle(m, n)
                 assert prod == Permutation.identity(n + m)
-
-    def test_equals_max_shuffle(self):
-        for n in range(4):
-            for m in range(4):
-                assert rotation_shuffle(n, m) == max_shuffle(n, m)
 
 
 def test_concat_perms():
