@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Callable, Iterable, Mapping
 
 
 class LinearCombination:
     """Finite integer linear combination of basis keys.
 
-    Zero coefficients are never stored.  Instances are treated as immutable;
-    arithmetic returns fresh objects of the same subclass.  Printing joins
-    the terms, sorted by basis key, with " + ", each term rendered as
-    ``coefficient*key`` via the subclass hook ``term_str``.
+    Zero coefficients are never stored.  The constructor is the one place
+    that sums repeated keys: every producer hands it ``(key, coeff)`` pairs.
+    Instances are treated as immutable; arithmetic returns fresh objects of
+    the same subclass.  Printing joins the terms, sorted by basis key, with
+    " + ", each term rendered as ``coefficient*key`` via the subclass hook
+    ``term_str``.
     """
 
     __slots__ = ("terms",)
@@ -47,16 +50,7 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = data.get(key, 0) + coeff
-            if c:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        out = type(self).__new__(type(self))
-        out.terms = data
-        return out
+        return type(self)(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -102,3 +96,43 @@ class LinearCombination:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.terms!r})"
+
+
+def parse_terms(text: str, parse_key: Callable, cls: type) -> LinearCombination:
+    """Read the signed-sum text form into an instance of ``cls``.
+
+    The text is "0" or ``coefficient*term`` pieces joined by " + "; a bare
+    term has coefficient 1, and ``parse_key`` reads each term.  A valid sum
+    that is not canonical (a coefficient not spelled as ``str(int)``, a zero
+    coefficient, a repeated term, or terms out of order) is rejected with
+    its canonical form in the message.
+    """
+    s = text.strip()
+    if s == "0":
+        return cls()
+    pairs: list[tuple] = []
+    problem = None
+    for pos, piece in enumerate(s.split(" + ")):
+        coeff_text, star, key_text = piece.partition("*")
+        if not star:
+            coeff_text, key_text = "1", piece
+        try:
+            coeff = int(coeff_text)
+        except ValueError:
+            raise ValueError(
+                f"term {pos}: bad coefficient {coeff_text!r} in {piece!r}"
+            ) from None
+        key = parse_key(key_text)
+        if problem is None:
+            if coeff_text != str(coeff):
+                problem = f"term {pos}: coefficient {coeff_text!r} should read {str(coeff)!r}"
+            elif not coeff:
+                problem = f"term {pos}: zero coefficient"
+            elif pairs and not pairs[-1][0] < key:
+                order = "repeated term" if key == pairs[-1][0] else "terms out of order"
+                problem = f"term {pos}: {order}"
+        pairs.append((key, coeff))
+    out = cls(pairs)
+    if problem:
+        raise ValueError(f"non-canonical sum {text!r} ({problem}); canonical form is {out}")
+    return out

@@ -21,7 +21,6 @@ from blockperm.monoid import (
     enumerate_ubp,
     enumeration_ceiling,
     hasse_component,
-    parse_ubp,
 )
 from blockperm.partitions import parse_set_partition
 
@@ -52,20 +51,13 @@ def _count(args) -> int:
     return 0 if agree else 1
 
 
-def _parse_operand(text: str) -> Element:
-    """Accept either the element grammar or a bare diagram (coefficient 1)."""
-    if "*" in text or " + " in text or text.strip() == "0":
-        return parse_element(text)
-    return Element.basis(parse_ubp(text))
-
-
 def _op(args) -> int:
     verb = args.verb
-    x = _parse_operand(args.x)
+    x = parse_element(args.x)
     if verb in ("product", "pair"):
         if args.y is None:
             raise ValueError(f"{verb} needs two operands")
-        y = _parse_operand(args.y)
+        y = parse_element(args.y)
     elif args.y is not None:
         raise ValueError(f"{verb} takes a single operand")
     if verb == "product":
@@ -163,8 +155,6 @@ def _verify_schurweyl_case(args) -> int:
     spot_checks = []
     conv_ok = True
     if 2 ** (2 * n) <= schurweyl.DEFAULT_DIM_CEILING:
-        from blockperm.hopf import Element
-
         samples = enum(min(n, 2))[:3]
         for f in samples:
             for g in samples:
@@ -223,7 +213,7 @@ def _pbasis(args) -> int:
         result = ncsym.to_element(u)
         payload = element_to_json(result)
     else:
-        x = _parse_operand(args.text)
+        x = parse_element(args.text)
         result = ncsym.from_element(x)
         payload = [
             {"coeff": c, "term": str(a)} for a, c in result.sorted_terms()

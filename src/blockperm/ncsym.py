@@ -10,7 +10,7 @@ The assignment (partition a) -> (sum of all diagrams with domain a) is an
 isomorphism onto the span of those sums inside the diagram Hopf algebra;
 :func:`to_element` and :func:`from_element` move across it.
 
-Text form: "p" followed by the partition, e.g. ``1*p{1,3}{2,4} + 2*p{1,2}``.
+Text form: "p" followed by the partition, e.g. ``2*p{1,2} + 1*p{1,3}{2,4}``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from blockperm._linear import LinearCombination
+from blockperm._linear import LinearCombination, parse_terms
 from blockperm.hopf import Element, domain_class_sum
+from blockperm.monoid import elements_with_domain
 from blockperm.partitions import (
     SetPartition,
     cross,
@@ -76,42 +77,27 @@ def power_sum_words(a: SetPartition, alphabet_size: int) -> list[Word]:
 
 def p_product(u: NCSymElement, v: NCSymElement) -> NCSymElement:
     """Bilinear extension of p_a p_b = p over the side-by-side partition."""
-    out: dict[SetPartition, int] = {}
-    for a, ca in u.terms.items():
-        for b, cb in v.terms.items():
-            key = cross(a, b)
-            acc = out.get(key, 0) + ca * cb
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return NCSymElement(out)
+    return NCSymElement(
+        (cross(a, b), ca * cb) for a, ca in u.terms.items() for b, cb in v.terms.items()
+    )
 
 
 def p_coproduct(u: NCSymElement) -> NCSymTensor:
     """Sum over all splits of the blocks into two complementary sets, each
     side standardized down to an initial segment."""
-    out: dict[tuple[SetPartition, SetPartition], int] = {}
+    pairs = []
     for a, c in u.terms.items():
         k = a.num_blocks
         for bits in itertools.product((False, True), repeat=k):
             left = restrict_standardize(a, [i for i in range(k) if bits[i]])
             right = restrict_standardize(a, [i for i in range(k) if not bits[i]])
-            key = (left, right)
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return NCSymTensor(out)
+            pairs.append(((left, right), c))
+    return NCSymTensor(pairs)
 
 
 def to_element(u: NCSymElement) -> Element:
     """Send each partition coordinate to the sum of diagrams with that domain."""
-    out = Element.zero()
-    for a, c in u.terms.items():
-        out = out + c * domain_class_sum(a)
-    return out
+    return Element((f, c) for a, c in u.terms.items() for f in elements_with_domain(a))
 
 
 def from_element(x: Element) -> NCSymElement:
@@ -141,25 +127,14 @@ def from_element(x: Element) -> NCSymElement:
     return NCSymElement(coords)
 
 
+def _parse_p_token(text: str) -> SetPartition:
+    token = text.strip()
+    if not token.startswith("p"):
+        raise ValueError(f"expected a p{{...}} token, got {token!r}")
+    return parse_set_partition(token[1:])
+
+
 def parse_p_element(text: str) -> NCSymElement:
-    """Parse the p-basis text form, e.g. "1*p{1,3}{2,4} + -1*p{1,2}"."""
-    s = text.strip()
-    if s == "0":
-        return NCSymElement.zero()
-    out = NCSymElement.zero()
-    for pos, piece in enumerate(s.split(" + ")):
-        if "*" in piece:
-            coeff_text, _, token = piece.partition("*")
-            try:
-                coeff = int(coeff_text)
-            except ValueError:
-                raise ValueError(
-                    f"term {pos}: bad coefficient {coeff_text!r} in {piece!r}"
-                ) from None
-        else:
-            coeff, token = 1, piece
-        token = token.strip()
-        if not token.startswith("p"):
-            raise ValueError(f"term {pos}: expected a p{{...}} token, got {token!r}")
-        out = out + NCSymElement.basis(parse_set_partition(token[1:]), coeff)
-    return out
+    """Parse the p-basis text form, e.g. "-1*p{1,2} + 1*p{1,3}{2,4}";
+    non-canonical sums are rejected with the canonical form in the message."""
+    return parse_terms(text, _parse_p_token, NCSymElement)

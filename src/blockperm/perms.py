@@ -87,7 +87,12 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-@lru_cache(maxsize=None)
+# Inversion masks kept per process.  `verify all --max-n 4` fills 34 entries
+# and the seeded request mix at most 140, so neither evicts.
+INVERSION_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=INVERSION_CACHE_SIZE)
 def _inversion_mask(images: tuple[int, ...]) -> int:
     n = len(images)
     mask = 0

@@ -150,33 +150,6 @@ class ActionMatrix:
         out.rows = rows
         return out
 
-    def scaled(self, c: int) -> "ActionMatrix":
-        out = ActionMatrix(self.dim)
-        if c:
-            out.rows = {
-                i: {j: c * v for j, v in row.items()} for i, row in self.rows.items()
-            }
-        return out
-
-    def plus(self, other: "ActionMatrix") -> "ActionMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        rows = {i: dict(row) for i, row in self.rows.items()}
-        for i, row in other.rows.items():
-            acc = rows.setdefault(i, {})
-            for j, v in row.items():
-                prev = acc.get(j)
-                val = v if prev is None else prev + v
-                if val:
-                    acc[j] = val
-                else:
-                    acc.pop(j, None)
-            if not acc:
-                del rows[i]
-        out = ActionMatrix(self.dim)
-        out.rows = rows
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, ActionMatrix)
@@ -248,11 +221,14 @@ def element_action_matrix(
     x: Element, m: int, dim_ceiling: int = DEFAULT_DIM_CEILING
 ) -> ActionMatrix:
     """Action matrix of a linear combination of diagrams of equal degree."""
-    n = x.degree()
-    acc = ActionMatrix(_check_dim(m, n, dim_ceiling))
+    dim = _check_dim(m, x.degree(), dim_ceiling)
+    rows: dict[int, dict[int, object]] = {}
     for f, c in x.terms.items():
-        acc = acc.plus(ubp_action_matrix(f, m, dim_ceiling).scaled(c))
-    return acc
+        for i, row in ubp_action_matrix(f, m, dim_ceiling).rows.items():
+            acc = rows.setdefault(i, {})
+            for j, v in row.items():
+                acc[j] = acc.get(j, 0) + c * v
+    return ActionMatrix(dim, rows)
 
 
 def group_action_matrix(

@@ -77,6 +77,23 @@ class TestOp:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("1*{1}->{1} + 1*{1}->{1}", "2*{1}->{1}"),
+            ("1*{1}->{1} + -1*{1}->{1}", "0"),
+            ("2*{1}->{1} + 0*{1,2}->{1,2}", "2*{1}->{1}"),
+            ("1*{1,2}->{1,2} + 1*{1}->{1}", "1*{1}->{1} + 1*{1,2}->{1,2}"),
+            ("+1*{1}->{1}", "1*{1}->{1}"),
+            ("01*{1}->{1}", "1*{1}->{1}"),
+        ],
+    )
+    def test_non_canonical_sum_rejected(self, capsys, text, canonical):
+        code, out, err = run_cli(capsys, "op", "product", "{1}->{1}", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-canonical sum")
+        assert err.endswith(f"; canonical form is {canonical}\n")
+
     def test_missing_operand(self, capsys):
         code, _, err = run_cli(capsys, "op", "product", "{1}->{1}")
         assert code == 2
@@ -170,6 +187,47 @@ class TestVerify:
         assert code == 0
         assert "2/2 checks passed" in out
 
+    def test_jobs_clamped_to_checks_and_cpus(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        from blockperm import verify
+
+        pools = []
+
+        class Recorder:
+            """Stands in for the process pool: records its size, runs inline."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        for cpus, suite, expected in [
+            (64, "duality", [len(verify.SUITES["duality"])]),
+            (3, "bases", [3]),
+            (1, "bases", []),
+            (None, "bases", []),
+        ]:
+            pools.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            checks = verify.run_suite(suite, max_n=1, jobs=10**6)
+            assert pools == expected
+            assert all(c.passed for c in checks)
+        pools.clear()
+        verify.run_suite("bases", max_n=1, jobs=1)
+        assert pools == []
+
 
 class TestPBasis:
     def test_to_element(self, capsys):
@@ -187,6 +245,21 @@ class TestPBasis:
         element_text = out.strip()
         code2, out2, _ = run_cli(capsys, "pbasis", "from-element", element_text)
         assert out2.strip() == "1*p{1}{2}"
+
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("1*p{1,2} + 1*p{1,2}", "2*p{1,2}"),
+            ("1*p{1,2} + 0*p{1}{2}", "1*p{1,2}"),
+            ("1*p{1,3}{2,4} + 2*p{1,2}", "2*p{1,2} + 1*p{1,3}{2,4}"),
+            ("+1*p{1}", "1*p{1}"),
+        ],
+    )
+    def test_non_canonical_sum_rejected(self, capsys, text, canonical):
+        code, out, err = run_cli(capsys, "pbasis", "to-element", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-canonical sum")
+        assert err.endswith(f"; canonical form is {canonical}\n")
 
     def test_outside_span_is_error(self, capsys):
         code, _, err = run_cli(capsys, "pbasis", "from-element", "1*{1}->{1};{2}->{2}")

@@ -252,6 +252,10 @@ class TestText:
         assert str(NCSymElement.unit()) == "1*p{}"
         assert parse_p_element("1*p{}") == NCSymElement.unit()
 
+    def test_shorthands(self):
+        assert parse_p_element("p{1,2}") == parse_p_element("1*p{1,2}")
+        assert parse_p_element("0") == NCSymElement.zero()
+
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError, match="p"):
             parse_p_element("1*{1,2}")
