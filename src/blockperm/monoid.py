@@ -21,7 +21,6 @@ Text form: domain-ordered block arrows joined by ";", e.g.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -342,61 +341,34 @@ def concat(f: UBP, g: UBP) -> UBP:
 
 
 def enumerate_ubp(n: int, ceiling: int | None = None) -> list[UBP]:
-    """All elements on [n], each once, in canonical order: every ordered pair
-    of equal-type partitions with every size-preserving block bijection."""
+    """All elements on [n], each once, in canonical order: the weak-order
+    components in the order of their domains."""
     _check_ceiling(n, ceiling)
-    parts = set_partitions(n)
-    by_type: dict[tuple[int, ...], list[SetPartition]] = {}
-    for p in parts:
-        by_type.setdefault(p.type().multiplicities, []).append(p)
-    out: list[UBP] = []
-    for group in by_type.values():
-        for domain, codomain in itertools.product(group, group):
-            out.extend(_block_bijections(domain, codomain))
-    out.sort()
-    return out
-
-
-def _block_bijections(domain: SetPartition, codomain: SetPartition) -> list[UBP]:
-    """All uniform elements between two partitions of the same type."""
-    dom_by_size: dict[int, list[int]] = {}
-    cod_by_size: dict[int, list[int]] = {}
-    for k, b in enumerate(domain.blocks):
-        dom_by_size.setdefault(len(b), []).append(k)
-    for k, b in enumerate(codomain.blocks):
-        cod_by_size.setdefault(len(b), []).append(k)
-    sizes = sorted(dom_by_size)
-    choices = [
-        list(itertools.permutations(cod_by_size[s])) for s in sizes
-    ]
-    out = []
-    for combo in itertools.product(*choices):
-        block_map = [0] * domain.num_blocks
-        for s, arrangement in zip(sizes, combo):
-            for k, j in zip(dom_by_size[s], arrangement):
-                block_map[k] = j
-        out.append(_from_partitions(domain, codomain, block_map))
-    return out
+    return [f for a in set_partitions(n) for f in elements_with_domain(a)]
 
 
 def elements_with_domain(a: SetPartition) -> list[UBP]:
-    """All elements with the given domain partition, in canonical order."""
-    parts = set_partitions(a.n)
-    key = a.type().multiplicities
-    out = []
-    for codomain in parts:
-        if codomain.type().multiplicities == key:
-            out.extend(_block_bijections(a, codomain))
-    out.sort()
-    return out
+    """All elements with the given domain partition, in canonical order.
+
+    Each one factors uniquely as xi . id_of_partition(a) with xi a block
+    shuffle of a (see :func:`shuffle_factorization`).
+    """
+    ida = id_of_partition(a)
+    return sorted(left_compose_perm(xi, ida) for xi in block_shuffles(a))
+
+
+def monoid_generators(n: int) -> list[UBP]:
+    """The transpositions s_1..s_{n-1}, then the merges b_1..b_{n-1}."""
+    gens = [transposition_generator(n, i) for i in range(1, n)]
+    gens += [merge_generator(n, i) for i in range(1, n)]
+    return gens
 
 
 def closure_from_generators(n: int, ceiling: int | None = None) -> list[UBP]:
     """Breadth-first closure of the transposition and merge generators under
     composition; equals enumerate_ubp(n) as a set."""
     _check_ceiling(n, ceiling)
-    gens = [transposition_generator(n, i) for i in range(1, n)]
-    gens += [merge_generator(n, i) for i in range(1, n)]
+    gens = monoid_generators(n)
     start = identity(n)
     seen = {start}
     frontier = [start]
@@ -542,23 +514,30 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
     """Hasse diagram of the weak-order component of elements with domain a.
 
     Returns (nodes, covers): nodes in canonical order and covers as index
-    pairs (i, j) meaning nodes[i] is covered by nodes[j].
+    pairs (i, j), in increasing order, meaning nodes[i] is covered by
+    nodes[j].  Like a full enumeration, it is refused above the ceiling.
+
+    The block shuffles of a form a lower ideal of the weak order, so the
+    covers of xi . id(a) are the s_k . xi . id(a) that stay block shuffles:
+    those where xi^{-1}(k) < xi^{-1}(k+1) lie in different blocks of a.
+
+    >>> nodes, covers = hasse_component(SetPartition(3, ((1, 2), (3,))))
+    >>> len(nodes), covers
+    (3, [(1, 2), (2, 0)])
     """
-    nodes = [
-        compose(from_permutation(xi), id_of_partition(a)) for xi in block_shuffles(a)
-    ]
-    nodes.sort()
-    k = len(nodes)
-    less = [[False] * k for _ in range(k)]
-    for i, f in enumerate(nodes):
-        for j, g in enumerate(nodes):
-            if i != j and weak_leq(f, g):
-                less[i][j] = True
+    _check_ceiling(a.n, None)
+    nodes = elements_with_domain(a)
+    index = {f: i for i, f in enumerate(nodes)}
     covers = []
-    for i in range(k):
-        for j in range(k):
-            if less[i][j] and not any(less[i][m] and less[m][j] for m in range(k)):
-                covers.append((i, j))
+    for i, f in enumerate(nodes):
+        where = _block_shuffle(f).inverse().images  # where[k - 1] = xi^{-1}(k)
+        bot = f.bot  # bot[k - 1] = the label of the block holding xi^{-1}(k)
+        for k in range(1, a.n):
+            if where[k - 1] < where[k] and bot[k - 1] != bot[k]:
+                # s_k . f swaps the bottom labels at k and k + 1
+                up = bot[: k - 1] + (bot[k], bot[k - 1]) + bot[k + 1 :]
+                covers.append((i, index[UBP(f.top, up)]))
+    covers.sort()
     return nodes, covers
 
 

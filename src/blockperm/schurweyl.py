@@ -24,8 +24,7 @@ from blockperm.hopf import Element
 from blockperm.monoid import (
     UBP,
     enumerate_ubp,
-    merge_generator,
-    transposition_generator,
+    monoid_generators,
 )
 from blockperm.perms import Permutation, adjacent_transposition
 
@@ -249,12 +248,6 @@ def group_action_matrix(
     out = ActionMatrix(dim)
     out.rows = rows
     return out
-
-
-def monoid_generators(n: int) -> list[UBP]:
-    gens = [transposition_generator(n, i) for i in range(1, n)]
-    gens += [merge_generator(n, i) for i in range(1, n)]
-    return gens
 
 
 def group_generators(m: int) -> list[GroupElement]:

@@ -409,19 +409,21 @@ MONOID_CHECKS = [
 # hopf suite
 
 
-def _basis_elements(n: int) -> list[Element]:
-    return [Element.basis(f) for f in enumerate_ubp(n)]
+def _basis_by_degree(limit: int) -> list[list[Element]]:
+    """basis[n] = the basis elements of degree n, for n <= limit."""
+    return [[Element.basis(f) for f in enumerate_ubp(n)] for n in range(limit + 1)]
 
 
 def check_hopf_associativity(max_n: int | None = None) -> Check:
     name = "product is associative"
     limit = _cap(4, max_n)
+    basis = _basis_by_degree(limit)
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
             for r in range(limit + 1 - p - q):
-                for x in _basis_elements(p):
-                    for y in _basis_elements(q):
-                        for z in _basis_elements(r):
+                for x in basis[p]:
+                    for y in basis[q]:
+                        for z in basis[r]:
                             lhs = hopf.product(hopf.product(x, y), z)
                             rhs = hopf.product(x, hopf.product(y, z))
                             if lhs != rhs:
@@ -466,10 +468,11 @@ def check_counit_axiom(max_n: int | None = None) -> Check:
 def check_bialgebra_compatibility(max_n: int | None = None) -> Check:
     name = "coproduct of a product is the product of coproducts"
     limit = _cap(4, max_n)
+    basis = _basis_by_degree(limit)
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
-            for x in _basis_elements(p):
-                for y in _basis_elements(q):
+            for x in basis[p]:
+                for y in basis[q]:
                     lhs = hopf.coproduct(hopf.product(x, y))
                     rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
                     if lhs != rhs:
@@ -639,8 +642,9 @@ def check_pairing_basics(max_n: int | None = None) -> Check:
     name = "pairing is the diagram-inversion permutation form"
     limit = _cap(4, max_n)
     for n in range(limit + 1):
-        for f in enumerate_ubp(n):
-            for g in enumerate_ubp(n):
+        elems = enumerate_ubp(n)
+        for f in elems:
+            for g in elems:
                 expected = 1 if g == diagram_inverse(f) else 0
                 if hopf.pairing(Element.basis(f), Element.basis(g)) != expected:
                     return _fail(name, f"fails at {f}, {g}")
@@ -653,12 +657,14 @@ def check_pairing_basics(max_n: int | None = None) -> Check:
 def check_duality_adjunction(max_n: int | None = None) -> Check:
     name = "the pairing turns the product into the coproduct"
     limit = _cap(4, max_n)
+    basis = _basis_by_degree(limit)
     for deg in range(limit + 1):
         zs = enumerate_ubp(deg)
+        deltas = [hopf.coproduct(Element.basis(z)) for z in zs]
         for p in range(deg + 1):
             q = deg - p
-            for x in _basis_elements(p):
-                for y in _basis_elements(q):
+            for x in basis[p]:
+                for y in basis[q]:
                     prod = hopf.product(x, y)
                     xy = TensorElement(
                         {
@@ -667,11 +673,9 @@ def check_duality_adjunction(max_n: int | None = None) -> Check:
                             for fy, cy in y.terms.items()
                         }
                     )
-                    for z in zs:
+                    for z, delta in zip(zs, deltas):
                         lhs = hopf.pairing(prod, Element.basis(z))
-                        rhs = hopf.tensor_pairing(
-                            xy, hopf.coproduct(Element.basis(z))
-                        )
+                        rhs = hopf.tensor_pairing(xy, delta)
                         if lhs != rhs:
                             return _fail(name, f"fails at degrees {p},{q} on {z}")
     return _ok(name, f"degree <= {limit}")
@@ -713,10 +717,11 @@ def check_upper_basis_roundtrip(max_n: int | None = None) -> Check:
 def check_lower_basis_product(max_n: int | None = None) -> Check:
     name = "lower-sum basis multiplies through the maximal shuffle"
     limit = _cap(4, max_n)
+    elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
-            for g1 in enumerate_ubp(p):
-                for g2 in enumerate_ubp(q):
+            for g1 in elems[p]:
+                for g2 in elems[q]:
                     lhs = hopf.product(
                         hopf.from_lower_basis(Element.basis(g1)),
                         hopf.from_lower_basis(Element.basis(g2)),
@@ -731,10 +736,11 @@ def check_lower_basis_product(max_n: int | None = None) -> Check:
 def check_upper_basis_product(max_n: int | None = None) -> Check:
     name = "upper-sum basis multiplies by concatenation"
     limit = _cap(4, max_n)
+    elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
-            for g1 in enumerate_ubp(p):
-                for g2 in enumerate_ubp(q):
+            for g1 in elems[p]:
+                for g2 in elems[q]:
                     lhs = hopf.product(
                         hopf.from_upper_basis(Element.basis(g1)),
                         hopf.from_upper_basis(Element.basis(g2)),
@@ -1060,10 +1066,11 @@ def check_convolution(max_n: int | None = None) -> Check:
     name = "tensor-algebra convolution realizes the shuffle product"
     limit = _cap(4, max_n)
     m = 2
+    elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
-            for f in enumerate_ubp(p):
-                for g in enumerate_ubp(q):
+            for f in elems[p]:
+                for g in elems[q]:
                     conv = schurweyl.convolution_action(f, g, m)
                     prod = hopf.product(Element.basis(f), Element.basis(g))
                     if conv != schurweyl.element_action_matrix(prod, m):

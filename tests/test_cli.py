@@ -86,6 +86,7 @@ class TestOp:
             ("1*{1,2}->{1,2} + 1*{1}->{1}", "1*{1}->{1} + 1*{1,2}->{1,2}"),
             ("+1*{1}->{1}", "1*{1}->{1}"),
             ("01*{1}->{1}", "1*{1}->{1}"),
+            ("1* {1}->{1}", "1*{1}->{1}"),
         ],
     )
     def test_non_canonical_sum_rejected(self, capsys, text, canonical):
@@ -124,6 +125,16 @@ class TestHasse:
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "hasse", "{2,1}")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("hasse", "{1}{2}{3}{4}{5}{6}{7}"), ("--ceiling", "2", "hasse", "{1}{2}{3}")],
+    )
+    def test_above_ceiling_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: refusing to enumerate")
 
 
 class TestSeries:
@@ -253,6 +264,7 @@ class TestPBasis:
             ("1*p{1,2} + 0*p{1}{2}", "1*p{1,2}"),
             ("1*p{1,3}{2,4} + 2*p{1,2}", "2*p{1,2} + 1*p{1,3}{2,4}"),
             ("+1*p{1}", "1*p{1}"),
+            ("1* p{1,2}", "1*p{1,2}"),
         ],
     )
     def test_non_canonical_sum_rejected(self, capsys, text, canonical):

@@ -492,6 +492,28 @@ class TestWeakOrder:
                     continue
                 assert not (weak_leq(nodes[i], nodes[k]) and weak_leq(nodes[k], nodes[j]))
 
+    def test_covers_match_brute_force(self):
+        for n in range(6):
+            for a in set_partitions(n):
+                nodes, covers = hasse_component(a)
+                above = [
+                    {j for j, g in enumerate(nodes) if j != i and weak_leq(f, g)}
+                    for i, f in enumerate(nodes)
+                ]
+                expected = sorted(
+                    (i, j)
+                    for i, up in enumerate(above)
+                    for j in up - set().union(*(above[m] for m in up))
+                )
+                assert covers == expected, str(a)
+
+    def test_components_match_closure(self):
+        for n in range(6):
+            closure = closure_from_generators(n)
+            for a in set_partitions(n):
+                expected = sorted(f for f in closure if f.domain == a)
+                assert elements_with_domain(a) == expected, str(a)
+
 
 class TestText:
     def test_roundtrip_all_small(self):
