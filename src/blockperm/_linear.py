@@ -41,9 +41,6 @@ class LinearCombination:
     def coeff(self, key) -> int:
         return self.terms.get(key, 0)
 
-    def support(self) -> list:
-        return sorted(self.terms)
-
     def sorted_terms(self) -> list[tuple]:
         return [(key, self.terms[key]) for key in sorted(self.terms)]
 

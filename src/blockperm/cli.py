@@ -12,10 +12,11 @@ import json
 import os
 import sys
 
-from blockperm import hopf, ncsym, verify
+from blockperm import hopf, ncsym, schurweyl, verify
 from blockperm.hopf import Element, element_to_json, parse_element, tensor_to_json
 from blockperm.monoid import (
     EnumerationCeilingError,
+    _check_ceiling,
     count_ubp,
     count_ubp_recursive,
     enumerate_ubp,
@@ -126,28 +127,22 @@ def _verify(args) -> int:
 
 
 def _verify_schurweyl_case(args) -> int:
-    from blockperm import schurweyl
-    from blockperm.monoid import count_ubp, enumerate_ubp as enum
-
     n = args.n if args.n is not None else 2
     m = args.m if args.m is not None else 2 * n
     r = args.r if args.r is not None else n + 1
+    # Refuse before building anything; the rank enumerates degree n.
+    _check_ceiling(n)
+    schurweyl._check_dim(m, n)
 
-    monoid_gens = schurweyl.monoid_generators(n)
-    group_gens = schurweyl.group_generators(m)
     monoid_names = [f"s_{i}" for i in range(1, n)] + [f"b_{i}" for i in range(1, n)]
     group_names = [f"t_{l}" for l in range(1, m + 1)] + [
         f"swap_{j},{j + 1}" for j in range(1, m)
     ]
-    pairs = []
-    all_commute = True
-    monoid_mats = [schurweyl.ubp_action_matrix(f, m) for f in monoid_gens]
-    group_mats = [schurweyl.group_action_matrix(g, m, r, n) for g in group_gens]
-    for fname, fmat in zip(monoid_names, monoid_mats):
-        for gname, gmat in zip(group_names, group_mats):
-            commutes = fmat @ gmat == gmat @ fmat
-            all_commute = all_commute and commutes
-            pairs.append({"monoid": fname, "group": gname, "commutes": commutes})
+    pairs = [
+        {"monoid": monoid_names[i], "group": group_names[j], "commutes": commutes}
+        for i, j, commutes in schurweyl.commutation_pairs(n, m, r)
+    ]
+    all_commute = all(entry["commutes"] for entry in pairs)
 
     rank = schurweyl.action_span_rank(n, m)
     size = count_ubp(n)
@@ -155,7 +150,7 @@ def _verify_schurweyl_case(args) -> int:
     spot_checks = []
     conv_ok = True
     if 2 ** (2 * n) <= schurweyl.DEFAULT_DIM_CEILING:
-        samples = enum(min(n, 2))[:3]
+        samples = enumerate_ubp(min(n, 2))[:3]
         for f in samples:
             for g in samples:
                 conv = schurweyl.convolution_action(f, g, 2)

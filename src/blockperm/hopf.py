@@ -24,6 +24,7 @@ from blockperm.monoid import (
     breaking_points,
     compose,
     concat,
+    count_ubp,
     diagram_inverse,
     elements_with_domain,
     from_permutation,
@@ -33,6 +34,7 @@ from blockperm.monoid import (
     parse_ubp,
     shuffle_factorization,
     split_at_breaking_point,
+    ubp_to_json,
     weak_leq,
 )
 from blockperm.partitions import SetPartition
@@ -48,9 +50,6 @@ class Element(LinearCombination):
 
     def degrees(self) -> set[int]:
         return {f.n for f in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> int:
         degs = self.degrees()
@@ -261,8 +260,6 @@ def to_upper_basis(x: Element) -> Element:
 
 def ubp_counts(limit: int) -> list[int]:
     """Counts of elements per degree, 0..limit, by the closed formula."""
-    from blockperm.monoid import count_ubp
-
     return [count_ubp(n) for n in range(limit + 1)]
 
 
@@ -295,16 +292,12 @@ def parse_element(text: str) -> Element:
 
 
 def element_to_json(x: Element) -> list:
-    from blockperm.monoid import ubp_to_json
-
     return [
         {"coeff": coeff, "term": ubp_to_json(f)} for f, coeff in x.sorted_terms()
     ]
 
 
 def tensor_to_json(t: TensorElement) -> list:
-    from blockperm.monoid import ubp_to_json
-
     return [
         {"coeff": coeff, "left": ubp_to_json(a), "right": ubp_to_json(b)}
         for (a, b), coeff in t.sorted_terms()

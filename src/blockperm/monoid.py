@@ -28,8 +28,18 @@ from functools import total_ordering
 from typing import Iterable, Sequence
 
 from blockperm._glue_py import canonical_labels, glue_labels
-from blockperm.partitions import SetPartition, block_shuffles, set_partitions
-from blockperm.perms import Permutation, weak_leq as perm_weak_leq
+from blockperm.partitions import (
+    PartitionType,
+    SetPartition,
+    block_shuffles,
+    count_of_type,
+    set_partitions,
+)
+from blockperm.perms import (
+    Permutation,
+    adjacent_transposition,
+    weak_leq as perm_weak_leq,
+)
 
 DEFAULT_CEILING = 6
 
@@ -50,8 +60,8 @@ def enumeration_ceiling() -> int:
         raise ValueError(f"BLOCKPERM_CEILING must be an integer, got {raw!r}") from None
 
 
-def _check_ceiling(n: int, ceiling: int | None) -> None:
-    limit = enumeration_ceiling() if ceiling is None else ceiling
+def _check_ceiling(n: int) -> None:
+    limit = enumeration_ceiling()
     if n > limit:
         raise EnumerationCeilingError(
             f"refusing to enumerate at n={n}: ceiling is {limit} "
@@ -259,8 +269,6 @@ def from_permutation(sigma: Permutation) -> UBP:
 
 def transposition_generator(n: int, i: int) -> UBP:
     """The adjacent transposition of i and i+1, as a diagram."""
-    from blockperm.perms import adjacent_transposition
-
     return from_permutation(adjacent_transposition(n, i))
 
 
@@ -340,10 +348,10 @@ def concat(f: UBP, g: UBP) -> UBP:
     )
 
 
-def enumerate_ubp(n: int, ceiling: int | None = None) -> list[UBP]:
+def enumerate_ubp(n: int) -> list[UBP]:
     """All elements on [n], each once, in canonical order: the weak-order
     components in the order of their domains."""
-    _check_ceiling(n, ceiling)
+    _check_ceiling(n)
     return [f for a in set_partitions(n) for f in elements_with_domain(a)]
 
 
@@ -364,10 +372,10 @@ def monoid_generators(n: int) -> list[UBP]:
     return gens
 
 
-def closure_from_generators(n: int, ceiling: int | None = None) -> list[UBP]:
+def closure_from_generators(n: int) -> list[UBP]:
     """Breadth-first closure of the transposition and merge generators under
     composition; equals enumerate_ubp(n) as a set."""
-    _check_ceiling(n, ceiling)
+    _check_ceiling(n)
     gens = monoid_generators(n)
     start = identity(n)
     seen = {start}
@@ -407,8 +415,6 @@ def _integer_partition_multiplicities(n: int) -> list[tuple[int, ...]]:
 def count_ubp(n: int) -> int:
     """Closed-form count: sum over types of (number of partitions of that
     type) squared times the block bijections within each size class."""
-    from blockperm.partitions import PartitionType, count_of_type
-
     total = 0
     for mult in _integer_partition_multiplicities(n):
         per_type = count_of_type(PartitionType(mult))
@@ -525,7 +531,7 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
     >>> len(nodes), covers
     (3, [(1, 2), (2, 0)])
     """
-    _check_ceiling(a.n, None)
+    _check_ceiling(a.n)
     nodes = elements_with_domain(a)
     index = {f: i for i, f in enumerate(nodes)}
     covers = []

@@ -16,6 +16,7 @@ Text form: "p" followed by the partition, e.g. ``2*p{1,2} + 1*p{1,3}{2,4}``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from blockperm._linear import LinearCombination, parse_terms
@@ -113,13 +114,17 @@ def from_element(x: Element) -> NCSymElement:
     coords: dict[SetPartition, int] = {}
     for a, chunk in by_domain:
         coeffs = set(chunk.values())
-        expected = domain_class_sum(a)
-        if len(coeffs) == 1 and len(chunk) == len(expected.terms):
+        # The chunk has domain a, so it is the whole domain class iff it has
+        # one diagram per block shuffle of a: n!/(product of |b|!) of them.
+        size = math.factorial(a.n)
+        for block in a.blocks:
+            size //= math.factorial(len(block))
+        if len(coeffs) == 1 and len(chunk) == size:
             coords[a] = coeffs.pop()
         else:
             got = Element(chunk)
             c = min(chunk.values(), key=abs)
-            residual = got - c * expected
+            residual = got - c * domain_class_sum(a)
             raise ValueError(
                 f"not in the span of domain-class sums: residual {residual} "
                 f"on domain {a}"

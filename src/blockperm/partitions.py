@@ -87,7 +87,9 @@ def _validate_blocks(n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
                 raise ValueError(f"element {i} appears in two blocks")
             seen.add(i)
     if len(seen) != n:
-        missing = min(set(range(1, n + 1)) - seen)
+        missing = 1
+        while missing in seen:
+            missing += 1
         raise ValueError(f"element {missing} missing from the partition")
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from blockperm.hopf import Element
 from blockperm.monoid import (
@@ -63,12 +63,6 @@ class CyclotomicInteger:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicInteger(tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-_promote(other, self.order))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -164,13 +158,14 @@ class ActionMatrix:
         ]
 
 
-def _check_dim(m: int, n: int, dim_ceiling: int) -> int:
+def _check_dim(m: int, n: int) -> int:
     if m < 1:
         raise ValueError("m must be at least 1")
     dim = m**n
-    if dim > dim_ceiling:
+    if dim > DEFAULT_DIM_CEILING:
         raise ValueError(
-            f"refusing a {dim}-dimensional tensor space (ceiling {dim_ceiling})"
+            f"refusing a {dim}-dimensional tensor space "
+            f"(ceiling {DEFAULT_DIM_CEILING})"
         )
     return dim
 
@@ -201,11 +196,9 @@ def ubp_word_action(f: UBP, word: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(letters[label] for label in f.top)
 
 
-def ubp_action_matrix(
-    f: UBP, m: int, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> ActionMatrix:
+def ubp_action_matrix(f: UBP, m: int) -> ActionMatrix:
     """Matrix of the right action on words; at most one entry per row."""
-    dim = _check_dim(m, f.n, dim_ceiling)
+    dim = _check_dim(m, f.n)
     rows: dict[int, dict[int, object]] = {}
     for i, word in enumerate(tensor_words(m, f.n)):
         target = ubp_word_action(f, word)
@@ -216,30 +209,26 @@ def ubp_action_matrix(
     return out
 
 
-def element_action_matrix(
-    x: Element, m: int, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> ActionMatrix:
+def element_action_matrix(x: Element, m: int) -> ActionMatrix:
     """Action matrix of a linear combination of diagrams of equal degree."""
-    dim = _check_dim(m, x.degree(), dim_ceiling)
+    dim = _check_dim(m, x.degree())
     rows: dict[int, dict[int, object]] = {}
     for f, c in x.terms.items():
-        for i, row in ubp_action_matrix(f, m, dim_ceiling).rows.items():
+        for i, row in ubp_action_matrix(f, m).rows.items():
             acc = rows.setdefault(i, {})
             for j, v in row.items():
                 acc[j] = acc.get(j, 0) + c * v
     return ActionMatrix(dim, rows)
 
 
-def group_action_matrix(
-    g: GroupElement, m: int, r: int, n: int, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> ActionMatrix:
+def group_action_matrix(g: GroupElement, m: int, r: int, n: int) -> ActionMatrix:
     """Diagonal left action on words: permute letters coordinate-wise and
     multiply by the root power accumulated over the letters."""
     if g.perm.n != m:
         raise ValueError(f"group element lives on {g.perm.n} coordinates, not {m}")
     if r < 1:
         raise ValueError("r must be at least 1")
-    dim = _check_dim(m, n, dim_ceiling)
+    dim = _check_dim(m, n)
     rows: dict[int, dict[int, object]] = {}
     for i, word in enumerate(tensor_words(m, n)):
         exponent = sum(g.torus[letter - 1] for letter in word)
@@ -261,23 +250,26 @@ def group_generators(m: int) -> list[GroupElement]:
     return gens
 
 
-def commutation_check(
-    n: int, m: int, r: int, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> bool:
+def commutation_pairs(n: int, m: int, r: int) -> Iterator[tuple[int, int, bool]]:
+    """Yield (i, j, commutes) for the i-th monoid generator matrix and the
+    j-th group generator matrix on the degree-n tensor space, in generator
+    order; below degree 2 there are no monoid generators and no pairs."""
+    _check_dim(m, n)
+    if r < 1:  # checked here too: below degree 2 no group matrix is built
+        raise ValueError("r must be at least 1")
+    monoid_mats = [ubp_action_matrix(f, m) for f in monoid_generators(n)]
+    if not monoid_mats:
+        return
+    group_mats = [group_action_matrix(g, m, r, n) for g in group_generators(m)]
+    for i, a in enumerate(monoid_mats):
+        for j, b in enumerate(group_mats):
+            yield i, j, a @ b == b @ a
+
+
+def commutation_check(n: int, m: int, r: int) -> bool:
     """True iff every monoid generator matrix commutes with every group
     generator matrix on the degree-n tensor space."""
-    _check_dim(m, n, dim_ceiling)
-    if n < 2:
-        return True  # no monoid generators below degree 2
-    monoid_mats = [ubp_action_matrix(f, m, dim_ceiling) for f in monoid_generators(n)]
-    group_mats = [
-        group_action_matrix(g, m, r, n, dim_ceiling) for g in group_generators(m)
-    ]
-    for a in monoid_mats:
-        for b in group_mats:
-            if a @ b != b @ a:
-                return False
-    return True
+    return all(commutes for _, _, commutes in commutation_pairs(n, m, r))
 
 
 def exact_sparse_rank(rows: Iterable[dict[int, int]]) -> int:
@@ -311,26 +303,22 @@ def exact_sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     return rank
 
 
-def action_span_rank(
-    n: int, m: int, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> int:
+def action_span_rank(n: int, m: int) -> int:
     """Rank of the span of all degree-n diagram action matrices, flattened
     to integer vectors.  Equals the monoid size whenever m >= 2n (the
     injectivity half of the centralizer statement); below that threshold the
     rank may drop and is only reported."""
-    dim = _check_dim(m, n, dim_ceiling)
+    dim = _check_dim(m, n)
     vectors = []
     for f in enumerate_ubp(n):
-        mat = ubp_action_matrix(f, m, dim_ceiling)
+        mat = ubp_action_matrix(f, m)
         vectors.append(
             {i * dim + j: v for i, row in mat.rows.items() for j, v in row.items()}
         )
     return exact_sparse_rank(vectors)
 
 
-def convolution_action(
-    f: UBP, g: UBP, m: int, dim_ceiling: int = DEFAULT_DIM_CEILING
-) -> ActionMatrix:
+def convolution_action(f: UBP, g: UBP, m: int) -> ActionMatrix:
     """Degree-(p+q) block of (multiply) o (f tensor g) o (unshuffle coproduct)
     on the tensor algebra.
 
@@ -341,7 +329,7 @@ def convolution_action(
     """
     p, q = f.n, g.n
     n = p + q
-    dim = _check_dim(m, n, dim_ceiling)
+    dim = _check_dim(m, n)
     rows: dict[int, dict[int, object]] = {}
     for i, word in enumerate(tensor_words(m, n)):
         acc: dict[int, int] = {}

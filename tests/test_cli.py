@@ -193,6 +193,31 @@ class TestVerify:
         assert data["rank_is_full"] is True
         assert code == 0
 
+    @pytest.mark.parametrize("suite", ["hopf", "monoid"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_lowered_ceiling_is_a_refusal(self, capsys, monkeypatch, suite, jobs):
+        # A check that would enumerate above the ceiling is refused, not
+        # failed, and no check overrides the user's ceiling.
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        code, out, err = run_cli(
+            capsys, "--ceiling", "3", "verify", suite, "--max-n", "4", "--jobs", jobs
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: refusing to enumerate at n=4: ceiling is 3")
+
+    @pytest.mark.parametrize("n", ["7", "4000"])
+    def test_schurweyl_case_guards_run_first(self, capsys, monkeypatch, n):
+        from blockperm import schurweyl
+
+        def unreachable(n):
+            raise AssertionError("built generators before checking the limits")
+
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        monkeypatch.setattr(schurweyl, "monoid_generators", unreachable)
+        code, out, err = run_cli(capsys, "verify", "schurweyl", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: refusing to enumerate at n={n}")
+
     def test_jobs_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "duality", "--max-n", "2", "--jobs", "2")
         assert code == 0

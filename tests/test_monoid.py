@@ -356,7 +356,7 @@ class TestEnumeration:
         with pytest.raises(EnumerationCeilingError, match="ceiling"):
             enumerate_ubp(7)
         with pytest.raises(EnumerationCeilingError):
-            closure_from_generators(9, ceiling=4)
+            closure_from_generators(7)
 
     def test_ceiling_env_override(self, monkeypatch):
         monkeypatch.setenv("BLOCKPERM_CEILING", "2")

@@ -205,6 +205,20 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="not in the span"):
             from_element(Element.basis(identity(2)))
 
+    def test_roundtrip_builds_no_domain_class(self, monkeypatch):
+        # Membership is decided by counting; the class sum is only built to
+        # report the residual of an element outside the span.
+        from blockperm import ncsym
+
+        def unreachable(a):
+            raise AssertionError("built a domain-class sum on the success path")
+
+        monkeypatch.setattr(ncsym, "domain_class_sum", unreachable)
+        for n in range(5):
+            for a in set_partitions(n):
+                u = 3 * NCSymElement.basis(a)
+                assert from_element(to_element(u)) == u
+
     def test_product_transport(self):
         for na in range(3):
             for nb in range(3 - na + 1):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from blockperm.monoid import parse_ubp
 from blockperm.partitions import (
     PartitionType,
     SetPartition,
@@ -241,6 +244,22 @@ class TestText:
     def test_noncanonical_rejected_with_hint(self):
         with pytest.raises(ValueError, match="canonical form is"):
             parse_set_partition("{2,5,7}{1,3}{6,8}{4}")
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [(parse_set_partition, "{1000000}"), (parse_ubp, "{1000000}->{1000000}")],
+        ids=["parse_set_partition", "parse_ubp"],
+    )
+    def test_large_element_rejected_in_constant_memory(self, parse, text):
+        # "{N}" misses 1..N-1; naming the first one must not build range(N).
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="element 1 missing"):
+                parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="position"):
