@@ -26,27 +26,32 @@ from blockperm.monoid import (
 from blockperm.partitions import parse_set_partition
 
 
+# Largest N for which `count` runs the closed form.  It sums over every integer
+# partition of N, so it takes 4 s at N = 45, where the recursion takes 3 ms.
+FORMULA_CAP = 30
+
+
 def _count(args) -> int:
     n = args.n
-    formula = count_ubp(n)
+    ceiling = enumeration_ceiling()
     recursion = count_ubp_recursive(n)
-    lines = [f"degree {n}", f"formula     {formula}", f"recursion   {recursion}"]
-    data = {"n": n, "formula": formula, "recursion": recursion}
-    enumerated = None
-    if n <= enumeration_ceiling():
-        enumerated = len(enumerate_ubp(n))
-        lines.append(f"enumeration {enumerated}")
-        data["enumeration"] = enumerated
-    else:
-        lines.append(f"enumeration skipped (ceiling {enumeration_ceiling()})")
-        data["enumeration"] = None
-    values = {formula, recursion} | ({enumerated} if enumerated is not None else set())
-    agree = len(values) == 1
-    data["agree"] = agree
+    formula = count_ubp(n) if n <= FORMULA_CAP else None
+    enumerated = len(enumerate_ubp(n)) if n <= ceiling else None
+    agree = len({formula, recursion, enumerated} - {None}) == 1
     if args.format == "json":
-        print(json.dumps(data, sort_keys=True))
+        data = {"n": n, "formula": formula, "recursion": recursion, "enumeration": enumerated}
+        print(json.dumps(data | {"agree": agree}, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print(f"degree {n}")
+        if n > FORMULA_CAP:
+            print(f"formula skipped (cap {FORMULA_CAP})")
+        else:
+            print(f"formula     {formula}")
+        print(f"recursion   {recursion}")
+        if n > ceiling:
+            print(f"enumeration skipped (ceiling {ceiling})")
+        else:
+            print(f"enumeration {enumerated}")
         if not agree:
             print("error: counting methods disagree", file=sys.stderr)
     return 0 if agree else 1

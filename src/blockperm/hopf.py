@@ -32,10 +32,9 @@ from blockperm.monoid import (
     identity,
     left_compose_perm,
     parse_ubp,
-    shuffle_factorization,
+    shuffle_mask,
     split_at_breaking_point,
     ubp_to_json,
-    weak_leq,
 )
 from blockperm.partitions import SetPartition
 from blockperm.perms import shuffles
@@ -192,47 +191,41 @@ def right_action(x: Element, h: UBP) -> Element:
     return Element(pairs)
 
 
-def _component_descending(a: SetPartition) -> list[UBP]:
-    """Component of the weak order with domain ``a``, from top to bottom."""
-    elems = elements_with_domain(a)
-    elems.sort(key=lambda f: (-shuffle_factorization(f).shuffle.length(), f))
-    return elems
-
-
 def _expand(coords: Element, below: bool) -> Element:
     """Each key g adds its coefficient to every f of its component (the
     diagrams with g's domain partition) with f <= g if ``below``, else
-    g <= f.  Each component is enumerated once."""
+    g <= f.  Each component is enumerated once, with one mask per diagram."""
     by_domain: dict[SetPartition, list[tuple[UBP, int]]] = {}
     for g, c in coords.terms.items():
         by_domain.setdefault(g.domain, []).append((g, c))
     pairs = []
     for a, keys in by_domain.items():
-        component = elements_with_domain(a)
+        component = [(shuffle_mask(f), f) for f in elements_with_domain(a)]
         for g, c in keys:
-            if below:
-                pairs.extend((f, c) for f in component if weak_leq(f, g))
-            else:
-                pairs.extend((f, c) for f in component if weak_leq(g, f))
+            m_g = shuffle_mask(g)
+            pairs.extend(
+                (f, c) for m_f, f in component if (m_f & ~m_g if below else m_g & ~m_f) == 0
+            )
     return Element(pairs)
 
 
 def _back_substitute(x: Element, below: bool) -> Element:
     """Invert :func:`_expand` by back-substitution through each unitriangular
     component, from its top if ``below``, else from its bottom; no Mobius
-    function is assumed."""
+    function is assumed.  Decreasing inversion count (a stable sort of the
+    canonical order) is a linear extension of the reversed weak order."""
     pairs = []
     for a in sorted({f.domain for f in x.terms}):
-        component = _component_descending(a)
-        solved: list[tuple[UBP, int]] = []
-        for g in component if below else reversed(component):
-            if below:
-                c = x.coeff(g) - sum(ch for h, ch in solved if weak_leq(g, h))
-            else:
-                c = x.coeff(g) - sum(ch for h, ch in solved if weak_leq(h, g))
+        component = [(shuffle_mask(f), f) for f in elements_with_domain(a)]
+        component.sort(key=lambda node: -node[0].bit_count())
+        solved: list[tuple[int, UBP, int]] = []
+        for m_g, g in component if below else reversed(component):
+            c = x.coeff(g) - sum(
+                ch for m_h, _, ch in solved if (m_g & ~m_h if below else m_h & ~m_g) == 0
+            )
             if c:
-                solved.append((g, c))
-        pairs.extend(solved)
+                solved.append((m_g, g, c))
+        pairs.extend((g, c) for _, g, c in solved)
     return Element(pairs)
 
 

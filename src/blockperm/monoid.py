@@ -35,11 +35,7 @@ from blockperm.partitions import (
     count_of_type,
     set_partitions,
 )
-from blockperm.perms import (
-    Permutation,
-    adjacent_transposition,
-    weak_leq as perm_weak_leq,
-)
+from blockperm.perms import Permutation, _inversion_mask, adjacent_transposition
 
 DEFAULT_CEILING = 6
 
@@ -359,8 +355,10 @@ def elements_with_domain(a: SetPartition) -> list[UBP]:
     """All elements with the given domain partition, in canonical order.
 
     Each one factors uniquely as xi . id_of_partition(a) with xi a block
-    shuffle of a (see :func:`shuffle_factorization`).
+    shuffle of a (see :func:`shuffle_factorization`).  Like a full
+    enumeration, it is refused above the ceiling.
     """
+    _check_ceiling(a.n)
     ida = id_of_partition(a)
     return sorted(left_compose_perm(xi, ida) for xi in block_shuffles(a))
 
@@ -490,30 +488,35 @@ class ShuffleFactorization:
         return compose(from_permutation(self.shuffle), id_of_partition(self.domain))
 
 
-def _block_shuffle(f: UBP) -> Permutation:
-    """Each domain block, in increasing order, onto its image block in
-    increasing order."""
-    images = [iter(block) for block in _fibres(f.bot)]
-    return Permutation(tuple(next(images[label]) for label in f.top))
+def _matched_positions(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+    """For each position of ``src``, the position of ``dst`` it is matched
+    with: the k-th occurrence of a label goes to its k-th occurrence."""
+    images = [iter(block) for block in _fibres(dst)]
+    return tuple(next(images[label]) for label in src)
 
 
 def shuffle_factorization(f: UBP) -> ShuffleFactorization:
     """Extract the block-shuffle factor: each domain block, in increasing
     order, maps onto its image block in increasing order."""
-    return ShuffleFactorization(_block_shuffle(f), f.domain)
+    return ShuffleFactorization(Permutation(_matched_positions(f.top, f.bot)), f.domain)
+
+
+def shuffle_mask(f: UBP) -> int:
+    """The inversion set of f's block-shuffle factor as a bit mask (bit
+    i * n + j for the 0-based inversion (i, j)), read off the label rows."""
+    return _inversion_mask(_matched_positions(f.top, f.bot))
 
 
 def weak_leq(f: UBP, g: UBP) -> bool:
-    """Weak order on the monoid: same domain and comparable shuffle factors.
+    """Weak order on the monoid: same domain and contained inversion sets of
+    the shuffle factors, tested as containment of their masks.
 
     Elements with different domain partitions are incomparable, so the poset
     is a disjoint union of components indexed by domain partitions.
     """
     if f.n != g.n:
         raise ValueError(f"size mismatch: {f.n} vs {g.n}")
-    if f.top != g.top:
-        return False
-    return perm_weak_leq(_block_shuffle(f), _block_shuffle(g))
+    return f.top == g.top and shuffle_mask(f) & ~shuffle_mask(g) == 0
 
 
 def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
@@ -531,12 +534,11 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
     >>> len(nodes), covers
     (3, [(1, 2), (2, 0)])
     """
-    _check_ceiling(a.n)
     nodes = elements_with_domain(a)
     index = {f: i for i, f in enumerate(nodes)}
     covers = []
     for i, f in enumerate(nodes):
-        where = _block_shuffle(f).inverse().images  # where[k - 1] = xi^{-1}(k)
+        where = _matched_positions(f.bot, f.top)  # where[k - 1] = xi^{-1}(k)
         bot = f.bot  # bot[k - 1] = the label of the block holding xi^{-1}(k)
         for k in range(1, a.n):
             if where[k - 1] < where[k] and bot[k - 1] != bot[k]:

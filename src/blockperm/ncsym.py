@@ -105,7 +105,7 @@ def from_element(x: Element) -> NCSymElement:
     """Inverse of :func:`to_element` on its image.
 
     Raises ValueError, reporting the residual, if ``x`` is not in the span
-    of the domain-class sums.
+    of the domain-class sums (EnumerationCeilingError above the ceiling).
     """
     by_top: dict[tuple[int, ...], dict] = {}
     for f, c in x.terms.items():

@@ -62,9 +62,6 @@ class Permutation:
             if ims[i - 1] > ims[j - 1]
         }
 
-    def length(self) -> int:
-        return len(self.inversions())
-
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
 

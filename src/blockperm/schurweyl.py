@@ -161,12 +161,14 @@ class ActionMatrix:
 def _check_dim(m: int, n: int) -> int:
     if m < 1:
         raise ValueError("m must be at least 1")
-    dim = m**n
-    if dim > DEFAULT_DIM_CEILING:
-        raise ValueError(
-            f"refusing a {dim}-dimensional tensor space "
-            f"(ceiling {DEFAULT_DIM_CEILING})"
-        )
+    dim = 1  # m**n itself may have thousands of digits: stop past the ceiling
+    for _ in range(n if m > 1 else 0):
+        dim *= m
+        if dim > DEFAULT_DIM_CEILING:
+            raise ValueError(
+                f"refusing the tensor space of dimension m^n = {m}^{n} "
+                f"(ceiling {DEFAULT_DIM_CEILING})"
+            )
     return dim
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -28,6 +29,20 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "10")
         assert code == 0
         assert "enumeration skipped" in out
+
+    def test_formula_skipped_above_cap(self, capsys):
+        from blockperm.cli import FORMULA_CAP
+
+        code, out, _ = run_cli(capsys, "count", str(FORMULA_CAP))
+        assert code == 0
+        assert out.splitlines()[1].startswith("formula     ")
+        code, out, _ = run_cli(capsys, "count", str(FORMULA_CAP + 1))
+        assert code == 0
+        assert out.splitlines()[1] == f"formula skipped (cap {FORMULA_CAP})"
+        code, out, _ = run_cli(capsys, "count", "200", "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and data["agree"] is True
+        assert data["formula"] is None and data["enumeration"] is None
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "count", "3", "--format", "json")
@@ -218,6 +233,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: refusing to enumerate at n={n}")
 
+    def test_dimension_refusal_names_m_n_and_ceiling(self, capsys, monkeypatch):
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        code, out, err = run_cli(
+            capsys, "--ceiling", "3000", "verify", "schurweyl", "--n", "2000"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: refusing the tensor space of dimension m^n = 4000^2000 "
+            "(ceiling 4096)\n"
+        )
+
     def test_jobs_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "duality", "--max-n", "2", "--jobs", "2")
         assert code == 0
@@ -297,6 +323,24 @@ class TestPBasis:
         assert (code, out) == (2, "")
         assert err.startswith("error: non-canonical sum")
         assert err.endswith(f"; canonical form is {canonical}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("to-element", "1*p{1}{2}{3}{4}{5}{6}{7}"),
+            ("from-element", "1*" + ";".join(f"{{{i}}}->{{{i}}}" for i in range(1, 8))),
+        ],
+    )
+    def test_domain_class_above_ceiling_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        code, out, err = run_cli(capsys, "pbasis", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: refusing to enumerate at n=7: ceiling is 6")
+        code, out, err = run_cli(capsys, "--ceiling", "7", "pbasis", *argv)
+        if argv[0] == "to-element":
+            assert code == 0 and out.count(" + ") == math.factorial(7) - 1
+        else:
+            assert code == 2 and "not in the span" in err
 
     def test_outside_span_is_error(self, capsys):
         code, _, err = run_cli(capsys, "pbasis", "from-element", "1*{1}->{1};{2}->{2}")

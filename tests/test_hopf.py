@@ -328,13 +328,14 @@ class TestBases:
         assert from_upper_basis(basis(b1)) == basis(b1)
 
     def test_roundtrips(self):
-        for n in range(4):
+        for n in range(6):
             for f in enumerate_ubp(n):
                 e = basis(f)
                 assert to_lower_basis(from_lower_basis(e)) == e
-                assert from_lower_basis(to_lower_basis(e)) == e
                 assert to_upper_basis(from_upper_basis(e)) == e
-                assert from_upper_basis(to_upper_basis(e)) == e
+                if n < 5:
+                    assert from_lower_basis(to_lower_basis(e)) == e
+                    assert from_upper_basis(to_upper_basis(e)) == e
 
     def test_lower_product_degree_one(self):
         id1 = identity(1)

@@ -10,13 +10,35 @@ from hypothesis import given, settings, strategies as st
 
 from blockperm import hopf
 from blockperm.hopf import Element, parse_element
-from blockperm.monoid import enumerate_ubp
+from blockperm.monoid import enumerate_ubp, parse_ubp
 from blockperm.ncsym import NCSymElement, parse_p_element
-from blockperm.partitions import set_partitions
+from blockperm.partitions import parse_set_partition, set_partitions
+from blockperm.perms import Permutation, parse_permutation
 from test_monoid import diagrams
 
 DIAGRAMS = [f for n in range(4) for f in enumerate_ubp(n)]
 PARTITIONS = [a for n in range(5) for a in set_partitions(n)]
+
+PARSERS = [parse_ubp, parse_set_partition, parse_element, parse_p_element, parse_permutation]
+# Canonical texts of every kind, so each parser also meets the others' input.
+SEED_TEXTS = (
+    [str(f) for f in DIAGRAMS]
+    + [str(a) for a in PARTITIONS]
+    + ["0", "[]", "[2,3,1]", "1*{1}->{1} + -2*{1,2}->{1,2}", "-1*p{1,2} + 1*p{1,3}{2,4}"]
+)
+SYMBOLS = "{}[]()<>-+*,;:=px0123456789 \t\n"
+
+
+@st.composite
+def mutated_texts(draw):
+    """A seed text (or random symbols) with up to four random splices."""
+    seeds = st.sampled_from(SEED_TEXTS) | st.text(SYMBOLS, max_size=12) | st.text(max_size=6)
+    text = draw(seeds)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.text(SYMBOLS, max_size=3)) + text[j:]
+    return text
 
 
 def pair_lists(keys):
@@ -59,7 +81,25 @@ def _reorderings(x):
 
 
 class TestParsers:
-    # The element round trip is test_hopf.test_element_text_roundtrip.
+    # The element round trip is test_hopf.test_element_text_roundtrip and the
+    # diagram round trip test_monoid.TestPastExhaustiveBound.test_round_trips.
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda parse: parse.__name__)
+    @given(text=mutated_texts())
+    @settings(max_examples=120, deadline=None)
+    def test_malformed_text_raises_only_value_error(self, parse, text):
+        try:
+            value = parse(text)
+        except ValueError:
+            return
+        assert parse(str(value)) == value
+
+    @given(diagrams(), st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    @settings(max_examples=60, deadline=None)
+    def test_partition_and_permutation_round_trip(self, f, images):
+        assert parse_set_partition(str(f.domain)) == f.domain
+        sigma = Permutation(tuple(images))
+        assert parse_permutation(str(sigma)) == sigma
 
     @given(combinations(NCSymElement, PARTITIONS))
     @settings(max_examples=150, deadline=None)

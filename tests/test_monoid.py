@@ -464,6 +464,17 @@ class TestWeakOrder:
             for g in elements_with_domain(a):
                 assert weak_leq(bottom, g)
 
+    def test_matches_inversion_set_definition(self):
+        # Containment of the shuffle factors' inversion sets, computed as
+        # sets of pairs rather than as the masks weak_leq compares.
+        for n in range(5):
+            elems = enumerate_ubp(n)
+            inversions = {f: shuffle_factorization(f).shuffle.inversions() for f in elems}
+            for f in elems:
+                for g in elems:
+                    expected = f.top == g.top and inversions[f] <= inversions[g]
+                    assert weak_leq(f, g) == expected, (str(f), str(g))
+
     def test_different_domains_incomparable(self):
         s1 = transposition_generator(2, 1)
         b1 = merge_generator(2, 1)
