@@ -66,6 +66,12 @@ def _op(args) -> int:
         y = parse_element(args.y)
     elif args.y is not None:
         raise ValueError(f"{verb} takes a single operand")
+    if verb in ("product", "antipode"):
+        # A product has C(p+q, p) terms per pair of terms, and the antipode
+        # recursion grows exponentially with the number of breaking points.
+        for operand in (x, y) if verb == "product" else (x,):
+            for f in operand.terms:
+                _check_ceiling(f.n)
     if verb == "product":
         result = hopf.product(x, y)
         payload = element_to_json(result)

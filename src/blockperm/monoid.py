@@ -318,14 +318,6 @@ def left_compose_perm(sigma: Permutation, f: UBP) -> UBP:
     return UBP(f.top, tuple(new_bot))
 
 
-def right_compose_perm(f: UBP, sigma: Permutation) -> UBP:
-    """compose(f, from_permutation(sigma)): domain becomes sigma^{-1}(dom f)."""
-    if sigma.n != f.n:
-        raise ValueError(f"size mismatch: {sigma.n} vs {f.n}")
-    top = f.top
-    return UBP(*canonical_labels([top[image - 1] for image in sigma.images], f.bot))
-
-
 def diagram_inverse(f: UBP) -> UBP:
     """Swap domain and codomain and invert the block bijection.
 

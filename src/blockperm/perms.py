@@ -66,10 +66,6 @@ class Permutation:
         return "[" + ",".join(str(v) for v in self.images) + "]"
 
 
-def identity(n: int) -> Permutation:
-    return Permutation.identity(n)
-
-
 def adjacent_transposition(n: int, i: int) -> Permutation:
     """The transposition swapping ``i`` and ``i + 1`` in S_n."""
     if not 1 <= i <= n - 1:
@@ -151,14 +147,12 @@ def max_shuffle(p: int, q: int) -> Permutation:
     return Permutation(tuple(range(q + 1, q + p + 1)) + tuple(range(1, q + 1)))
 
 
-def concat_perms(sigma: Permutation, tau: Permutation) -> Permutation:
-    """The permutation acting as sigma on 1..p and as tau shifted on p+1..p+q."""
-    p = sigma.n
-    return Permutation(sigma.images + tuple(v + p for v in tau.images))
-
-
 def parse_permutation(text: str) -> Permutation:
-    """Parse the bracketed one-line form, e.g. "[2,3,1]" or "[]"."""
+    """Parse the bracketed one-line form, e.g. "[2,3,1]" or "[]".
+
+    Non-canonical but otherwise valid input is rejected with the canonical
+    spelling in the error message.
+    """
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"permutation must be bracketed one-line form: {text!r}")
@@ -169,4 +163,7 @@ def parse_permutation(text: str) -> Permutation:
         images = tuple(int(tok) for tok in body.split(","))
     except ValueError:
         raise ValueError(f"bad permutation entry in {text!r}") from None
-    return Permutation(images)
+    result = Permutation(images)
+    if str(result) != s:
+        raise ValueError(f"non-canonical permutation {text!r}; canonical form is {result}")
+    return result

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from blockperm import hopf, schurweyl
+from blockperm._linear import LinearCombination
 from blockperm.hopf import Element, TensorElement, domain_class_sum
 from blockperm.monoid import (
     UBP,
@@ -37,7 +39,6 @@ from blockperm.monoid import (
     identity,
     left_compose_perm,
     merge_generator,
-    right_compose_perm,
     shuffle_factorization,
     split_at_breaking_point,
     transposition_generator,
@@ -63,7 +64,6 @@ from blockperm.partitions import (
     set_partitions,
 )
 from blockperm.perms import (
-    Permutation,
     all_permutations,
     max_shuffle,
     shuffles,
@@ -140,38 +140,48 @@ def check_type_counts(max_n: int | None = None) -> Check:
     return _ok(name, f"checked n <= {limit}")
 
 
+def _relation_failure(n: int, s: dict, b: dict, one, mul: Callable) -> str | None:
+    """The first defining relation of the monoid of degree n (FitzGerald's
+    presentation by the transpositions s_i and the merges b_i) that the
+    images ``s`` and ``b`` violate under ``mul``, or None if all hold."""
+
+    def relations():
+        for i in range(1, n):
+            yield f"s_{i}^2 != 1", mul(s[i], s[i]), one
+            yield f"b_{i}^2 != b_{i}", mul(b[i], b[i]), b[i]
+            absorbing = f"b_{i} s_{i} = s_{i} b_{i} = b_{i} fails"
+            yield absorbing, mul(b[i], s[i]), b[i]
+            yield absorbing, mul(s[i], b[i]), b[i]
+        for i in range(1, n - 1):
+            yield (
+                f"braid relation fails at {i}",
+                mul(s[i], mul(s[i + 1], s[i])),
+                mul(s[i + 1], mul(s[i], s[i + 1])),
+            )
+            yield (
+                f"mixed braid relation fails at {i}",
+                mul(s[i], mul(b[i + 1], s[i])),
+                mul(s[i + 1], mul(b[i], s[i + 1])),
+            )
+        for i in range(1, n):
+            for j in range(1, n):
+                if abs(i - j) > 1:
+                    yield f"s_{i} s_{j} commuting fails", mul(s[i], s[j]), mul(s[j], s[i])
+                    yield f"b_{i} s_{j} commuting fails", mul(b[i], s[j]), mul(s[j], b[i])
+                yield f"b_{i} b_{j} commuting fails", mul(b[i], b[j]), mul(b[j], b[i])
+
+    return next((text for text, lhs, rhs in relations() if lhs != rhs), None)
+
+
 def check_presentation_relations(max_n: int | None = None) -> Check:
     name = "generator relations (braid, mixed braid, commuting, absorbing)"
     limit = _cap(5, max_n)
     for n in range(2, limit + 1):
         s = {i: transposition_generator(n, i) for i in range(1, n)}
         b = {i: merge_generator(n, i) for i in range(1, n)}
-        e = identity(n)
-        for i in range(1, n):
-            if compose(s[i], s[i]) != e:
-                return _fail(name, f"n={n}: s_{i}^2 != 1")
-            if compose(b[i], b[i]) != b[i]:
-                return _fail(name, f"n={n}: b_{i}^2 != b_{i}")
-            if compose(b[i], s[i]) != b[i] or compose(s[i], b[i]) != b[i]:
-                return _fail(name, f"n={n}: b_{i} s_{i} = s_{i} b_{i} = b_{i} fails")
-        for i in range(1, n - 1):
-            lhs = compose(s[i], compose(s[i + 1], s[i]))
-            rhs = compose(s[i + 1], compose(s[i], s[i + 1]))
-            if lhs != rhs:
-                return _fail(name, f"n={n}: braid relation fails at {i}")
-            lhs = compose(s[i], compose(b[i + 1], s[i]))
-            rhs = compose(s[i + 1], compose(b[i], s[i + 1]))
-            if lhs != rhs:
-                return _fail(name, f"n={n}: mixed braid relation fails at {i}")
-        for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) > 1:
-                    if compose(s[i], s[j]) != compose(s[j], s[i]):
-                        return _fail(name, f"n={n}: s_{i} s_{j} commuting fails")
-                    if compose(b[i], s[j]) != compose(s[j], b[i]):
-                        return _fail(name, f"n={n}: b_{i} s_{j} commuting fails")
-                if compose(b[i], b[j]) != compose(b[j], b[i]):
-                    return _fail(name, f"n={n}: b_{i} b_{j} commuting fails")
+        failure = _relation_failure(n, s, b, identity(n), compose)
+        if failure:
+            return _fail(name, f"n={n}: {failure}")
     return _ok(name, f"checked n <= {limit}")
 
 
@@ -247,9 +257,7 @@ def check_relabeling_laws(max_n: int | None = None) -> Check:
                     return _fail(name, f"n={n}: left composition moved the domain")
                 if left.codomain != partition_action(sigma, f.codomain):
                     return _fail(name, f"n={n}: left codomain not sigma(image)")
-                right = right_compose_perm(f, sigma)
-                if right != compose(f, u):
-                    return _fail(name, f"n={n}: right fast path disagrees")
+                right = compose(f, u)
                 if right.domain != partition_action(sigma.inverse(), f.domain):
                     return _fail(name, f"n={n}: right domain not sigma^-1(domain)")
     return _ok(name, f"checked n <= {limit}")
@@ -437,16 +445,17 @@ def check_hopf_coassociativity(max_n: int | None = None) -> Check:
     limit = _cap(5, max_n)
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
-            delta = hopf.coproduct(Element.basis(f))
-            lhs: Counter = Counter()
-            rhs: Counter = Counter()
-            for (a, b), c in delta.terms.items():
-                for (a1, a2), c2 in hopf.coproduct(Element.basis(a)).terms.items():
-                    lhs[(a1, a2, b)] += c * c2
-                for (b1, b2), c2 in hopf.coproduct(Element.basis(b)).terms.items():
-                    rhs[(a, b1, b2)] += c * c2
-            lhs = Counter({k: v for k, v in lhs.items() if v})
-            rhs = Counter({k: v for k, v in rhs.items() if v})
+            delta = hopf.coproduct(Element.basis(f)).terms.items()
+            lhs = LinearCombination(
+                ((a1, a2, b), c * c2)
+                for (a, b), c in delta
+                for (a1, a2), c2 in hopf.coproduct(Element.basis(a)).terms.items()
+            )
+            rhs = LinearCombination(
+                ((a, b1, b2), c * c2)
+                for (a, b), c in delta
+                for (b1, b2), c2 in hopf.coproduct(Element.basis(b)).terms.items()
+            )
             if lhs != rhs:
                 return _fail(name, f"fails for {f}")
     return _ok(name, f"degree <= {limit}")
@@ -652,29 +661,32 @@ def check_pairing_basics(max_n: int | None = None) -> Check:
 
 
 def check_duality_adjunction(max_n: int | None = None) -> Check:
+    """<xy, z> = <x (x) y, Delta z> for all basis diagrams x, y, z.  The left
+    side is the coefficient of z^-1 in xy and the right side that of
+    (x^-1, y^-1) in Delta z, so both tables below are indexed by (x, y, z)."""
     name = "the pairing turns the product into the coproduct"
     limit = _cap(4, max_n)
-    basis = _basis_by_degree(limit)
+    elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for deg in range(limit + 1):
-        zs = enumerate_ubp(deg)
-        deltas = [hopf.coproduct(Element.basis(z)) for z in zs]
-        for p in range(deg + 1):
-            q = deg - p
-            for x in basis[p]:
-                for y in basis[q]:
-                    prod = hopf.product(x, y)
-                    xy = TensorElement(
-                        {
-                            (fx, fy): cx * cy
-                            for fx, cx in x.terms.items()
-                            for fy, cy in y.terms.items()
-                        }
-                    )
-                    for z, delta in zip(zs, deltas):
-                        lhs = hopf.pairing(prod, Element.basis(z))
-                        rhs = hopf.tensor_pairing(xy, delta)
-                        if lhs != rhs:
-                            return _fail(name, f"fails at degrees {p},{q} on {z}")
+        products = {
+            (x, y, diagram_inverse(w)): c
+            for p in range(deg + 1)
+            for x in elems[p]
+            for y in elems[deg - p]
+            for w, c in hopf.product(Element.basis(x), Element.basis(y)).terms.items()
+        }
+        coproducts = {
+            (diagram_inverse(a), diagram_inverse(b), z): c
+            for z in elems[deg]
+            for (a, b), c in hopf.coproduct(Element.basis(z)).terms.items()
+        }
+        if products != coproducts:
+            x, y, z = min(
+                key
+                for key in products.keys() | coproducts.keys()
+                if products.get(key) != coproducts.get(key)
+            )
+            return _fail(name, f"fails at degrees {x.n},{y.n} on {z}")
     return _ok(name, f"degree <= {limit}")
 
 
@@ -685,67 +697,55 @@ DUALITY_CHECKS = [check_pairing_basics, check_duality_adjunction]
 # bases suite (weak order and the two triangular bases)
 
 
-def check_lower_basis_roundtrip(max_n: int | None = None) -> Check:
-    name = "lower-sum basis change is an exact round trip"
+def _basis_roundtrip(name: str, to_basis, from_basis, max_n: int | None) -> Check:
+    """Both compositions of a basis change and its inverse fix every diagram."""
     limit = _cap(4, max_n)
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
             e = Element.basis(f)
-            if hopf.to_lower_basis(hopf.from_lower_basis(e)) != e:
+            if to_basis(from_basis(e)) != e:
                 return _fail(name, f"coords->expand->coords fails at {f}")
-            if hopf.from_lower_basis(hopf.to_lower_basis(e)) != e:
+            if from_basis(to_basis(e)) != e:
                 return _fail(name, f"expand->coords->expand fails at {f}")
     return _ok(name, f"degree <= {limit}")
+
+
+def _basis_product(name: str, from_basis, rule: Callable, max_n: int | None) -> Check:
+    """The basis vectors of g1 and g2 multiply to the basis vector of
+    rule(g1, g2)."""
+    limit = _cap(4, max_n)
+    elems = [enumerate_ubp(n) for n in range(limit + 1)]
+    for p in range(limit + 1):
+        for q in range(limit + 1 - p):
+            for g1 in elems[p]:
+                for g2 in elems[q]:
+                    lhs = hopf.product(
+                        from_basis(Element.basis(g1)), from_basis(Element.basis(g2))
+                    )
+                    if lhs != from_basis(Element.basis(rule(g1, g2))):
+                        return _fail(name, f"fails at {g1}, {g2}")
+    return _ok(name, f"total degree <= {limit}")
+
+
+def check_lower_basis_roundtrip(max_n: int | None = None) -> Check:
+    name = "lower-sum basis change is an exact round trip"
+    return _basis_roundtrip(name, hopf.to_lower_basis, hopf.from_lower_basis, max_n)
 
 
 def check_upper_basis_roundtrip(max_n: int | None = None) -> Check:
     name = "upper-sum basis change is an exact round trip"
-    limit = _cap(4, max_n)
-    for n in range(limit + 1):
-        for f in enumerate_ubp(n):
-            e = Element.basis(f)
-            if hopf.to_upper_basis(hopf.from_upper_basis(e)) != e:
-                return _fail(name, f"coords->expand->coords fails at {f}")
-            if hopf.from_upper_basis(hopf.to_upper_basis(e)) != e:
-                return _fail(name, f"expand->coords->expand fails at {f}")
-    return _ok(name, f"degree <= {limit}")
+    return _basis_roundtrip(name, hopf.to_upper_basis, hopf.from_upper_basis, max_n)
 
 
 def check_lower_basis_product(max_n: int | None = None) -> Check:
     name = "lower-sum basis multiplies through the maximal shuffle"
-    limit = _cap(4, max_n)
-    elems = [enumerate_ubp(n) for n in range(limit + 1)]
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for g1 in elems[p]:
-                for g2 in elems[q]:
-                    lhs = hopf.product(
-                        hopf.from_lower_basis(Element.basis(g1)),
-                        hopf.from_lower_basis(Element.basis(g2)),
-                    )
-                    top = left_compose_perm(max_shuffle(p, q), concat(g1, g2))
-                    rhs = hopf.from_lower_basis(Element.basis(top))
-                    if lhs != rhs:
-                        return _fail(name, f"fails at {g1}, {g2}")
-    return _ok(name, f"total degree <= {limit}")
+    rule = lambda g1, g2: left_compose_perm(max_shuffle(g1.n, g2.n), concat(g1, g2))
+    return _basis_product(name, hopf.from_lower_basis, rule, max_n)
 
 
 def check_upper_basis_product(max_n: int | None = None) -> Check:
     name = "upper-sum basis multiplies by concatenation"
-    limit = _cap(4, max_n)
-    elems = [enumerate_ubp(n) for n in range(limit + 1)]
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for g1 in elems[p]:
-                for g2 in elems[q]:
-                    lhs = hopf.product(
-                        hopf.from_upper_basis(Element.basis(g1)),
-                        hopf.from_upper_basis(Element.basis(g2)),
-                    )
-                    rhs = hopf.from_upper_basis(Element.basis(concat(g1, g2)))
-                    if lhs != rhs:
-                        return _fail(name, f"fails at {g1}, {g2}")
-    return _ok(name, f"total degree <= {limit}")
+    return _basis_product(name, hopf.from_upper_basis, concat, max_n)
 
 
 def check_upper_basis_domain_sums(max_n: int | None = None) -> Check:
@@ -975,7 +975,6 @@ def check_generator_matrix_relations(max_n: int | None = None) -> Check:
     limit = _cap(3, max_n)
     for n in range(2, limit + 1):
         for m in (2, 3):
-            dim = m**n
             s = {
                 i: schurweyl.ubp_action_matrix(transposition_generator(n, i), m)
                 for i in range(1, n)
@@ -984,21 +983,10 @@ def check_generator_matrix_relations(max_n: int | None = None) -> Check:
                 i: schurweyl.ubp_action_matrix(merge_generator(n, i), m)
                 for i in range(1, n)
             }
-            eye = schurweyl.ActionMatrix.identity(dim)
-            for i in range(1, n):
-                if s[i] @ s[i] != eye or b[i] @ b[i] != b[i]:
-                    return _fail(name, f"square relations fail at n={n}, m={m}")
-                if b[i] @ s[i] != b[i] or s[i] @ b[i] != b[i]:
-                    return _fail(name, f"absorption fails at n={n}, m={m}")
-            for i in range(1, n - 1):
-                if s[i] @ s[i + 1] @ s[i] != s[i + 1] @ s[i] @ s[i + 1]:
-                    return _fail(name, f"braid fails at n={n}, m={m}")
-                if s[i] @ b[i + 1] @ s[i] != s[i + 1] @ b[i] @ s[i + 1]:
-                    return _fail(name, f"mixed braid fails at n={n}, m={m}")
-            for i in range(1, n):
-                for j in range(1, n):
-                    if b[i] @ b[j] != b[j] @ b[i]:
-                        return _fail(name, f"merge commuting fails at n={n}, m={m}")
+            eye = schurweyl.ActionMatrix.identity(m**n)
+            failure = _relation_failure(n, s, b, eye, operator.matmul)
+            if failure:
+                return _fail(name, f"n={n}, m={m}: {failure}")
     return _ok(name, f"checked n <= {limit}, m <= 3")
 
 

@@ -1,9 +1,62 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from blockperm.cli import main
+
+
+# `blockperm verify all --max-n 2`: every check's name, order and detail text.
+VERIFY_ALL_MAX_N_2 = """\
+PASS counts: closed formula = recursion (= known values up to degree 6) (checked n <= 2)
+PASS counts: enumeration and generator closure match the formula (checked n <= 2)
+PASS partition counts by type match the multinomial formula (checked n <= 2)
+PASS generator relations (braid, mixed braid, commuting, absorbing) (checked n <= 2)
+PASS inverse-monoid identities and idempotent classification (checked n <= 2)
+PASS unique factorization through a block shuffle and an idempotent (checked n <= 2)
+PASS partition identities compose through the lattice meet (checked n <= 2)
+PASS permutations relabel the codomain on the left, the domain on the right (checked n <= 2)
+PASS composition is associative (exhaustive n <= 3, sampled n <= 2)
+PASS breaking-point splits reassemble uniquely (checked n <= 2)
+PASS product is associative (total degree <= 2)
+PASS coproduct is coassociative (degree <= 2)
+PASS counit is a two-sided counit for the coproduct (degree <= 2)
+PASS coproduct of a product is the product of coproducts (total degree <= 2)
+PASS antipode satisfies both defining identities (degree <= 2)
+PASS domain-class sums absorb permutations and merge generators (checked n <= 2)
+PASS the span of domain-class sums is a right ideal (checked n <= 2)
+PASS expected primitive and non-primitive elements
+PASS permutations close under product/coproduct and match word shuffles (total degree <= 2)
+PASS pairing is the diagram-inversion permutation form (degree <= 2)
+PASS the pairing turns the product into the coproduct (degree <= 2)
+PASS weak order is a partial order on permutations (checked n <= 2)
+PASS shuffle sets are lower ideals with the expected maximum (checked n <= 2)
+PASS every permutation factors uniquely as block shuffle times stabilizer (checked n <= 2)
+PASS weak-order components partition the monoid by domain (checked n <= 2)
+PASS Hasse components are transitively reduced and correctly sized (checked n <= 2)
+PASS lower-sum basis change is an exact round trip (degree <= 2)
+PASS upper-sum basis change is an exact round trip (degree <= 2)
+PASS lower-sum basis multiplies through the maximal shuffle (total degree <= 2)
+PASS upper-sum basis multiplies by concatenation (total degree <= 2)
+PASS upper sums at partition identities are the domain-class sums (degree <= 2)
+PASS primitive dimensions by series inversion (degrees 1..2)
+PASS power-sum truncations have one word per block colouring (degree <= 2)
+PASS power-sum truncations are stable under renaming the letters (degree <= 2, alphabet of 3)
+PASS p-basis product matches word concatenation (total degree <= 2, alphabets <= 3)
+PASS p-basis coproduct matches two-alphabet word counting (degree <= 2, alphabets of 2+2)
+PASS six-element coproduct example expands to the eight expected terms
+PASS the p-basis and the domain-class sums exchange product and coproduct (total degree <= 2)
+PASS embedding into the diagram algebra round-trips (degree <= 2)
+PASS action matrices reverse composition in exactly one orientation (checked n <= 2, m <= 3)
+PASS generator matrices satisfy the monoid relations (checked n <= 2, m <= 3)
+PASS direct action matrices match generator-word products (checked n <= 2, m <= 3)
+PASS diagram action commutes with the wreath-product action (1088 cases with dimension <= 256, root order <= 4)
+PASS action matrices span a space of the full monoid dimension (checked degrees up to 2 at doubled dimension)
+PASS tensor-algebra convolution realizes the shuffle product (total degree <= 2, m = 2)
+45/45 checks passed
+"""
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +139,21 @@ class TestOp:
         assert code2 == 0
         code3, out3, _ = run_cli(capsys, "op", "antipode", out2.strip())
         assert out3.strip() == element_text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("product", "{1}->{1}", "{1,2,3,4,5,6,7}->{1,2,3,4,5,6,7}"),
+            ("antipode", "1*{1}->{1} + 1*{1,2,3,4,5,6,7}->{1,2,3,4,5,6,7}"),
+        ],
+    )
+    def test_operand_above_ceiling_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        code, out, err = run_cli(capsys, "op", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: refusing to enumerate at n=7: ceiling is 6")
+        code, out, _ = run_cli(capsys, "--ceiling", "7", "op", *argv)
+        assert code == 0 and out
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "op", "antipode", "{1}->")
@@ -244,6 +312,10 @@ class TestVerify:
             "(ceiling 4096)\n"
         )
 
+    def test_all_text_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2")
+        assert (code, out, err) == (0, VERIFY_ALL_MAX_N_2, "")
+
     def test_jobs_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "duality", "--max-n", "2", "--jobs", "2")
         assert code == 0
@@ -364,6 +436,20 @@ def test_determinism_across_invocations(capsys):
         _, out, _ = run_cli(capsys, "op", "product", "{1,2}->{1,2}", "{1}->{1}")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_readme_cli_block_exits_0(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("blockperm ")
+    ]
+    assert commands
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
 
 
 def test_subprocess_entry_point():

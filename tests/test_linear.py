@@ -6,14 +6,14 @@ from collections import Counter
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockperm import hopf
 from blockperm.hopf import Element, parse_element
 from blockperm.monoid import enumerate_ubp, parse_ubp
 from blockperm.ncsym import NCSymElement, parse_p_element
 from blockperm.partitions import parse_set_partition, set_partitions
-from blockperm.perms import Permutation, parse_permutation
+from blockperm.perms import Permutation, all_permutations, parse_permutation
 from test_monoid import diagrams
 
 DIAGRAMS = [f for n in range(4) for f in enumerate_ubp(n)]
@@ -24,7 +24,8 @@ PARSERS = [parse_ubp, parse_set_partition, parse_element, parse_p_element, parse
 SEED_TEXTS = (
     [str(f) for f in DIAGRAMS]
     + [str(a) for a in PARTITIONS]
-    + ["0", "[]", "[2,3,1]", "1*{1}->{1} + -2*{1,2}->{1,2}", "-1*p{1,2} + 1*p{1,3}{2,4}"]
+    + [str(sigma) for n in range(4) for sigma in all_permutations(n)]
+    + ["0", "1*{1}->{1} + -2*{1,2}->{1,2}", "-1*p{1,2} + 1*p{1,3}{2,4}"]
 )
 SYMBOLS = "{}[]()<>-+*,;:=px0123456789 \t\n"
 
@@ -80,12 +81,25 @@ def _reorderings(x):
             yield " + ".join(repeated), str(x + type(x).basis(key, coeff))
 
 
+def _spells_canonically(text, canonical):
+    """True if ``text`` is ``canonical``, up to writing a sum term with
+    coefficient 1 bare (``{1}->{1}`` for ``1*{1}->{1}``)."""
+    pieces, expected = text.split(" + "), canonical.split(" + ")
+    return len(pieces) == len(expected) and all(
+        piece == want or "1*" + piece == want for piece, want in zip(pieces, expected)
+    )
+
+
 class TestParsers:
     # The element round trip is test_hopf.test_element_text_roundtrip and the
     # diagram round trip test_monoid.TestPastExhaustiveBound.test_round_trips.
 
     @pytest.mark.parametrize("parse", PARSERS, ids=lambda parse: parse.__name__)
     @given(text=mutated_texts())
+    @example(text="[ 2, 1 ]")
+    @example(text="[+2,1]")
+    @example(text="[02,1]")
+    @example(text="[\u0661]")  # an Arabic-Indic digit one
     @settings(max_examples=120, deadline=None)
     def test_malformed_text_raises_only_value_error(self, parse, text):
         try:
@@ -93,6 +107,7 @@ class TestParsers:
         except ValueError:
             return
         assert parse(str(value)) == value
+        assert _spells_canonically(text.strip(), str(value)), (text, str(value))
 
     @given(diagrams(), st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
     @settings(max_examples=60, deadline=None)

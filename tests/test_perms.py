@@ -7,7 +7,6 @@ from blockperm.perms import (
     Permutation,
     adjacent_transposition,
     all_permutations,
-    concat_perms,
     max_shuffle,
     parse_permutation,
     shuffles,
@@ -170,9 +169,3 @@ class TestRotationShuffle:
             for m in range(4):
                 prod = max_shuffle(n, m) * max_shuffle(m, n)
                 assert prod == Permutation.identity(n + m)
-
-
-def test_concat_perms():
-    s = Permutation((2, 1))
-    t = Permutation((1, 3, 2))
-    assert concat_perms(s, t).images == (2, 1, 3, 5, 4)
