@@ -7,6 +7,12 @@ bottom vertex ``j + 1``.  The encoding is canonical when component ids are
 assigned in order of first appearance along the top row, which makes the
 pair usable directly as a hash/equality key.  It is the representation of
 :class:`blockperm.monoid.UniformBlockPermutation`.
+
+Gluing f's bottom row to g's top row needs no union-find: every component
+of g meets the middle row, so it joins one class of f's components, and a
+component of g that meets two classes merges them.  The kernel therefore
+tracks classes of f-labels only, and when no classes merge the composite's
+top row is f's top row unchanged.
 """
 
 from __future__ import annotations
@@ -24,36 +30,58 @@ def canonical_labels(top, bot):
 
 
 def glue_labels(ftop, fbot, gtop, gbot):
-    """Compose two diagrams by gluing the bottom row of f to the top row of g.
+    """Compose two canonical diagrams by gluing the bottom row of f to the
+    top row of g.
 
-    Returns the canonical label rows of the composite: top row read from f's
-    top, bottom row from g's bottom, components merged with union-find.
+    Returns the canonical label rows of the composite: the top row is read
+    from f's top, the bottom row from g's bottom.  One pass over the middle
+    row records, for each g-label, the class of f-labels it is glued to; a
+    g-label glued to a second class merges the two.  Without a merge both
+    rows are read off directly.
+
+    Two merges at n = 3 (b_1 then b_2) join everything into one block:
+
+    >>> glue_labels((0, 0, 1), (0, 0, 1), (0, 1, 1), (0, 1, 1))
+    ((0, 0, 0), (0, 0, 0))
+
+    A transposition after b_1 merges nothing:
+
+    >>> glue_labels((0, 0, 1), (0, 0, 1), (0, 1, 2), (1, 0, 2))
+    ((0, 0, 1), (0, 0, 1))
     """
     n = len(ftop)
-    if n == 0:
-        return (), ()
-    kf = max(ftop) + 1
-    kg = max(gtop) + 1
-    parent = list(range(kf + kg))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        ra = find(fbot[i])
-        rb = find(kf + gtop[i])
-        if ra != rb:
-            parent[rb] = ra
-
-    newid: dict[int, int] = {}
-    out_top = tuple(newid.setdefault(find(label), len(newid)) for label in ftop)
-    try:
-        out_bot = tuple(newid[find(kf + label)] for label in gbot)
-    except KeyError:
-        # Cannot happen for valid diagrams: every merged component contains a
-        # component of f and hence a top vertex.
-        raise ValueError("component with no top vertex") from None
-    return out_top, out_bot
+    # cls[a] is the smallest f-label in a's class; via[b] the class glued to
+    # g-label b, or -1 before its first vertex is met.
+    cls = list(range(n))
+    via = [-1] * n
+    merged = False
+    for a, b in zip(fbot, gtop):
+        a = cls[a]
+        c = via[b]
+        if c < 0:
+            via[b] = a
+        elif c != a:
+            merged = True
+            lo, hi = (c, a) if c < a else (a, c)
+            for x, r in enumerate(cls):
+                if r == hi:
+                    cls[x] = lo
+            for x, r in enumerate(via):
+                if r == hi:
+                    via[x] = lo
+    if not merged:
+        return ftop, tuple(map(via.__getitem__, gbot))
+    # f's labels first appear along its top row in the order 0, 1, ..., so a
+    # class first appears at its smallest label: number the classes in that
+    # order, over the f-labels rather than over positions.
+    k = 0
+    for x, r in enumerate(cls):
+        if r == x:
+            cls[x] = k
+            k += 1
+        else:
+            cls[x] = cls[r]
+    return (
+        tuple(map(cls.__getitem__, ftop)),
+        tuple(map(cls.__getitem__, map(via.__getitem__, gbot))),
+    )

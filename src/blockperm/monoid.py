@@ -352,7 +352,7 @@ def elements_with_domain(a: SetPartition) -> list[UBP]:
     """
     _check_ceiling(a.n)
     ida = id_of_partition(a)
-    return sorted(left_compose_perm(xi, ida) for xi in block_shuffles(a))
+    return sorted((left_compose_perm(xi, ida) for xi in block_shuffles(a)), key=UBP._sort_key)
 
 
 def monoid_generators(n: int) -> list[UBP]:
@@ -379,7 +379,7 @@ def closure_from_generators(n: int) -> list[UBP]:
                     seen.add(y)
                     fresh.append(y)
         frontier = fresh
-    return sorted(seen)
+    return sorted(seen, key=UBP._sort_key)
 
 
 def _integer_partition_multiplicities(n: int) -> list[tuple[int, ...]]:

@@ -443,18 +443,26 @@ def check_hopf_associativity(max_n: int | None = None) -> Check:
 def check_hopf_coassociativity(max_n: int | None = None) -> Check:
     name = "coproduct is coassociative"
     limit = _cap(5, max_n)
+    deltas: dict = {}
+
+    def coproduct_terms(x):
+        # The same tensor factors recur under many diagrams: split each once.
+        if x not in deltas:
+            deltas[x] = hopf.coproduct(Element.basis(x)).terms.items()
+        return deltas[x]
+
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
-            delta = hopf.coproduct(Element.basis(f)).terms.items()
+            delta = coproduct_terms(f)
             lhs = LinearCombination(
                 ((a1, a2, b), c * c2)
                 for (a, b), c in delta
-                for (a1, a2), c2 in hopf.coproduct(Element.basis(a)).terms.items()
+                for (a1, a2), c2 in coproduct_terms(a)
             )
             rhs = LinearCombination(
                 ((a, b1, b2), c * c2)
                 for (a, b), c in delta
-                for (b1, b2), c2 in hopf.coproduct(Element.basis(b)).terms.items()
+                for (b1, b2), c2 in coproduct_terms(b)
             )
             if lhs != rhs:
                 return _fail(name, f"fails for {f}")

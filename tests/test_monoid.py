@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +345,11 @@ class TestEnumeration:
     def test_closure_matches(self):
         for n in range(5):
             assert set(closure_from_generators(n)) == set(enumerate_ubp(n))
+
+    def test_sort_key_orders_as_lt(self):
+        xs = enumerate_ubp(5)
+        random.Random(5).shuffle(xs)
+        assert sorted(xs, key=UniformBlockPermutation._sort_key) == sorted(xs)
 
     def test_count_by_components(self):
         for n in range(5):
