@@ -9,8 +9,12 @@ generator scaling one coordinate by a primitive r-th root of unity.
 
 All scalars live in the ring of integer polynomials modulo zeta^r - 1, so
 every identity checked here is exact and implies the corresponding complex
-statement.  Matrices are stored sparsely (row -> column -> scalar); every
-single-diagram action matrix has at most one entry per row.
+statement.  Both actions are monomial: a diagram sends each word to one word
+or kills it, and a group element sends each word to one word times a power
+of the root.  Commutation compares these maps directly, word targets and
+root exponents mod r.  ``ActionMatrix`` is their rendered form, stored
+sparsely (row -> column -> scalar), for the checks that multiply or add
+action matrices; a single-diagram matrix has at most one entry per row.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ def tensor_words(m: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(1, m + 1), repeat=n))
 
 
-def word_index(word: Sequence[int], m: int) -> int:
+def word_index(word: Iterable[int], m: int) -> int:
     idx = 0
     for letter in word:
         idx = idx * m + (letter - 1)
@@ -195,19 +199,24 @@ def ubp_word_action(f: UBP, word: Sequence[int]) -> tuple[int, ...] | None:
     for letter, label in zip(word, f.bot):
         if letters.setdefault(label, letter) != letter:
             return None
-    return tuple(letters[label] for label in f.top)
+    return tuple(map(letters.__getitem__, f.top))
+
+
+def _diagram_targets(f: UBP, words: Sequence[tuple[int, ...]], m: int) -> list[int]:
+    """Index of the image of each word under the right action of ``f``, or
+    -1 where ``f`` kills the word."""
+    return [
+        -1 if (image := ubp_word_action(f, word)) is None else word_index(image, m)
+        for word in words
+    ]
 
 
 def ubp_action_matrix(f: UBP, m: int) -> ActionMatrix:
     """Matrix of the right action on words; at most one entry per row."""
     dim = _check_dim(m, f.n)
-    rows: dict[int, dict[int, object]] = {}
-    for i, word in enumerate(tensor_words(m, f.n)):
-        target = ubp_word_action(f, word)
-        if target is not None:
-            rows[i] = {word_index(target, m): 1}
+    targets = _diagram_targets(f, tensor_words(m, f.n), m)
     out = ActionMatrix(dim)
-    out.rows = rows
+    out.rows = {i: {j: 1} for i, j in enumerate(targets) if j >= 0}
     return out
 
 
@@ -223,6 +232,21 @@ def element_action_matrix(x: Element, m: int) -> ActionMatrix:
     return ActionMatrix(dim, rows)
 
 
+def _group_map(
+    g: GroupElement, words: Sequence[tuple[int, ...]], m: int
+) -> tuple[list[int], list[int]]:
+    """Index of the image of each word under ``g`` and the exponent of the
+    root of unity it picks up, summed over the letters and not reduced."""
+    torus = (0,) + g.torus
+    images = (0,) + g.perm.images
+    targets = []
+    exponents = []
+    for word in words:
+        targets.append(word_index(map(images.__getitem__, word), m))
+        exponents.append(sum(map(torus.__getitem__, word)))
+    return targets, exponents
+
+
 def group_action_matrix(g: GroupElement, m: int, r: int, n: int) -> ActionMatrix:
     """Diagonal left action on words: permute letters coordinate-wise and
     multiply by the root power accumulated over the letters."""
@@ -231,13 +255,12 @@ def group_action_matrix(g: GroupElement, m: int, r: int, n: int) -> ActionMatrix
     if r < 1:
         raise ValueError("r must be at least 1")
     dim = _check_dim(m, n)
-    rows: dict[int, dict[int, object]] = {}
-    for i, word in enumerate(tensor_words(m, n)):
-        exponent = sum(g.torus[letter - 1] for letter in word)
-        target = tuple(g.perm(letter) for letter in word)
-        rows[i] = {word_index(target, m): CyclotomicInteger.root_power(r, exponent)}
+    targets, exponents = _group_map(g, tensor_words(m, n), m)
     out = ActionMatrix(dim)
-    out.rows = rows
+    out.rows = {
+        i: {j: CyclotomicInteger.root_power(r, e)}
+        for i, (j, e) in enumerate(zip(targets, exponents))
+    }
     return out
 
 
@@ -253,19 +276,42 @@ def group_generators(m: int) -> list[GroupElement]:
 
 
 def commutation_pairs(n: int, m: int, r: int) -> Iterator[tuple[int, int, bool]]:
-    """Yield (i, j, commutes) for the i-th monoid generator matrix and the
-    j-th group generator matrix on the degree-n tensor space, in generator
-    order; below degree 2 there are no monoid generators and no pairs."""
+    """Yield (i, j, commutes) for the i-th monoid generator and the j-th
+    group generator acting on the degree-n tensor space, in generator order;
+    below degree 2 there are no monoid generators and no pairs.
+
+    The generators' word maps are compared instead of their matrices being
+    multiplied.  The monomials 1, zeta, ..., zeta^{r-1} are a basis of the
+    scalar ring, so two root powers agree exactly when their exponents agree
+    mod r."""
     _check_dim(m, n)
-    if r < 1:  # checked here too: below degree 2 no group matrix is built
+    if r < 1:  # checked here too: below degree 2 no group map is built
         raise ValueError("r must be at least 1")
-    monoid_mats = [ubp_action_matrix(f, m) for f in monoid_generators(n)]
-    if not monoid_mats:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    words = tensor_words(m, n)
+    diagrams = [_diagram_targets(f, words, m) for f in monoid_generators(n)]
+    if not diagrams:
         return
-    group_mats = [group_action_matrix(g, m, r, n) for g in group_generators(m)]
-    for i, a in enumerate(monoid_mats):
-        for j, b in enumerate(group_mats):
-            yield i, j, a @ b == b @ a
+    groups = [_group_map(g, words, m) for g in group_generators(m)]
+    for i, a in enumerate(diagrams):
+        for j, (b, e) in enumerate(groups):
+            yield i, j, _commutes(a, b, e, r)
+
+
+def _commutes(a: list[int], b: list[int], e: list[int], r: int) -> bool:
+    """Whether the diagram map ``a`` commutes with the group map ``(b, e)``.
+
+    Rendered as matrices, A @ B sends row k to column b[a[k]] with exponent
+    e[a[k]], and B @ A sends it to column a[b[k]] with exponent e[k].  Every
+    row of B has its entry, so B @ A kills row k exactly when a[b[k]] is -1."""
+    for k, ak in enumerate(a):
+        if ak < 0:
+            if a[b[k]] >= 0:
+                return False
+        elif b[ak] != a[b[k]] or (e[ak] - e[k]) % r:
+            return False
+    return True
 
 
 def commutation_check(n: int, m: int, r: int) -> bool:

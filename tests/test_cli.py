@@ -58,6 +58,34 @@ PASS tensor-algebra convolution realizes the shuffle product (total degree <= 2,
 45/45 checks passed
 """
 
+# `blockperm verify schurweyl --n 3 --m 2 --r 2`: pairs, rank note, spot checks.
+SCHURWEYL_N3_M2_R2 = """\
+[s_1, t_1] commutes
+[s_1, t_2] commutes
+[s_1, swap_1,2] commutes
+[s_2, t_1] commutes
+[s_2, t_2] commutes
+[s_2, swap_1,2] commutes
+[b_1, t_1] commutes
+[b_1, t_2] commutes
+[b_1, swap_1,2] commutes
+[b_2, t_1] commutes
+[b_2, t_2] commutes
+[b_2, swap_1,2] commutes
+commutation(n=3, m=2, r=2): PASS
+action span rank: 10 (monoid size 16)
+note: below the doubled-dimension threshold the rank may drop
+convolution {1}->{1};{2}->{2} with {1}->{1};{2}->{2}: agrees
+convolution {1}->{1};{2}->{2} with {1}->{2};{2}->{1}: agrees
+convolution {1}->{1};{2}->{2} with {1,2}->{1,2}: agrees
+convolution {1}->{2};{2}->{1} with {1}->{1};{2}->{2}: agrees
+convolution {1}->{2};{2}->{1} with {1}->{2};{2}->{1}: agrees
+convolution {1}->{2};{2}->{1} with {1,2}->{1,2}: agrees
+convolution {1,2}->{1,2} with {1}->{1};{2}->{2}: agrees
+convolution {1,2}->{1,2} with {1}->{2};{2}->{1}: agrees
+convolution {1,2}->{1,2} with {1,2}->{1,2}: agrees
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -266,15 +294,37 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_schurweyl_case_flags(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "verify", "schurweyl", "--n", "2", "--m", "4", "--r", "3",
             "--format", "json",
         )
-        data = json.loads(out)
-        assert data["commutation"] is True
-        assert data["rank"] == 3
-        assert data["rank_is_full"] is True
-        assert code == 0
+        group = [f"t_{l}" for l in range(1, 5)] + ["swap_1,2", "swap_2,3", "swap_3,4"]
+        degree_2 = ["{1}->{1};{2}->{2}", "{1}->{2};{2}->{1}", "{1,2}->{1,2}"]
+        expected = {
+            "n": 2,
+            "m": 4,
+            "r": 3,
+            "commutation_pairs": [
+                {"monoid": a, "group": b, "commutes": True}
+                for a in ("s_1", "b_1")
+                for b in group
+            ],
+            "commutation": True,
+            "rank": 3,
+            "monoid_size": 3,
+            "rank_is_full": True,
+            "convolution_spot_checks": [
+                {"f": f, "g": g, "agrees": True} for f in degree_2 for g in degree_2
+            ],
+            "passed": True,
+        }
+        assert (code, out, err) == (0, json.dumps(expected, sort_keys=True) + "\n", "")
+
+    def test_schurweyl_case_text_is_pinned(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "schurweyl", "--n", "3", "--m", "2", "--r", "2"
+        )
+        assert (code, out, err) == (0, SCHURWEYL_N3_M2_R2, "")
 
     @pytest.mark.parametrize("suite", ["hopf", "monoid"])
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from blockperm import schurweyl
 from blockperm.hopf import Element, product
 from blockperm.monoid import (
     compose,
@@ -18,6 +19,7 @@ from blockperm.schurweyl import (
     GroupElement,
     action_span_rank,
     commutation_check,
+    commutation_pairs,
     convolution_action,
     element_action_matrix,
     exact_sparse_rank,
@@ -152,6 +154,33 @@ class TestGroupAction:
         assert entry == CyclotomicInteger.root_power(5, 3)
 
 
+def reference_diagram_matrix(f, words, r):
+    """Right action of ``f`` from its label rows alone: a word survives iff
+    it agrees with the first position of every codomain block, and position
+    t then reads the letter of the codomain block labelled ``f.top[t]``."""
+    index = {w: i for i, w in enumerate(words)}
+    first = {label: f.bot.index(label) for label in f.bot}
+    rows = {}
+    for i, w in enumerate(words):
+        if all(w[s] == w[first[label]] for s, label in enumerate(f.bot)):
+            image = tuple(w[first[label]] for label in f.top)
+            rows[i] = {index[image]: CyclotomicInteger.one(r)}
+    return ActionMatrix(len(words), rows)
+
+
+def reference_group_matrix(g, words, r):
+    index = {w: i for i, w in enumerate(words)}
+    rows = {}
+    for i, w in enumerate(words):
+        image = tuple(g.perm.images[x - 1] for x in w)
+        power = CyclotomicInteger.one(r)
+        for x in w:
+            for _ in range(g.torus[x - 1]):
+                power = power * CyclotomicInteger.root_power(r, 1)
+        rows[i] = {index[image]: power}
+    return ActionMatrix(len(words), rows)
+
+
 class TestCommutation:
     @pytest.mark.parametrize("n,m,r", [(2, 2, 2), (2, 4, 3), (3, 3, 2), (4, 2, 4)])
     def test_commutes(self, n, m, r):
@@ -159,6 +188,57 @@ class TestCommutation:
 
     def test_trivial_degrees(self):
         assert commutation_check(1, 5, 3)
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            commutation_check(-1, 2, 1)
+
+    def test_pairs_match_multiplied_reference_matrices(self):
+        # Multiplies cyclotomic matrices built here, from the generators'
+        # label rows and one-line forms, and compares with the map walk.
+        cases = 0
+        for n in range(1, 7):
+            for m in range(1, 82):
+                if m**n > 81:
+                    break
+                words = list(itertools.product(range(1, m + 1), repeat=n))
+                for r in range(1, 5):
+                    diagrams = [
+                        reference_diagram_matrix(f, words, r)
+                        for f in monoid_generators(n)
+                    ]
+                    groups = [
+                        reference_group_matrix(g, words, r)
+                        for g in (group_generators(m) if diagrams else [])
+                    ]
+                    expected = [
+                        (i, j, a @ b == b @ a)
+                        for i, a in enumerate(diagrams)
+                        for j, b in enumerate(groups)
+                    ]
+                    assert list(commutation_pairs(n, m, r)) == expected, (n, m, r)
+                    cases += 1
+        assert cases == 4 * 101
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("difference", ["r", "1"])
+    def test_exponents_are_compared_mod_r(self, monkeypatch, r, difference):
+        # s_1 swaps the degree-2 words (1,2) and (2,1).  A group map that
+        # fixes every word commutes with it iff it scales those two words
+        # by equal powers of the root; their exponents differ by r or by 1.
+        commutes = difference == "r"
+        exponents = [0, r if commutes else 1, 0, 0]
+        monkeypatch.setattr(
+            schurweyl, "_group_map", lambda g, words, m: ([0, 1, 2, 3], exponents)
+        )
+        words = tensor_words(2, 2)
+        s1 = reference_diagram_matrix(transposition_generator(2, 1), words, r)
+        b = ActionMatrix(
+            4, {k: {k: CyclotomicInteger.root_power(r, e)} for k, e in enumerate(exponents)}
+        )
+        assert (s1 @ b == b @ s1) is commutes
+        pairs = list(commutation_pairs(2, 2, r))
+        assert [(i, c) for i, _, c in pairs] == [(0, commutes)] * 3 + [(1, True)] * 3
 
     def test_battery_dimension_256(self):
         for n in range(2, 9):

@@ -59,3 +59,41 @@ def test_broken_absorption_is_caught_on_matrices(monkeypatch):
     check = verify.check_generator_matrix_relations(2)
     assert check.passed is False
     assert check.detail == "n=2, m=2: b_1 s_1 = s_1 b_1 = b_1 fails"
+
+
+def test_wrong_root_exponent_is_caught_mod_r(monkeypatch):
+    # Word 1 is (1, ..., 1, 2), which s_{n-1} moves; one more root power on
+    # it breaks commutation for every r >= 2 and is invisible mod 1.
+    group_map = schurweyl._group_map
+
+    def off_by_one(g, words, m):
+        targets, exponents = group_map(g, words, m)
+        if len(exponents) > 1:
+            exponents[1] += 1
+        return targets, exponents
+
+    monkeypatch.setattr(schurweyl, "_group_map", off_by_one)
+    check = verify.check_commutation()
+    assert check.passed is False
+    assert check.detail == "fails at (n,m,r)=(2,2,2)"
+    for n in range(1, 9):
+        for m in range(1, 17):
+            if m**n > 256:
+                break
+            assert schurweyl.commutation_check(n, m, 1), (n, m)
+
+
+def test_extra_killed_word_is_caught(monkeypatch):
+    # Every diagram keeps the constant word (1, ..., 1).  Killing it shows
+    # at the first case with a letter swap, which moves that word.
+    diagram_targets = schurweyl._diagram_targets
+
+    def lossy(f, words, m):
+        targets = diagram_targets(f, words, m)
+        targets[0] = -1
+        return targets
+
+    monkeypatch.setattr(schurweyl, "_diagram_targets", lossy)
+    check = verify.check_commutation()
+    assert check.passed is False
+    assert check.detail == "fails at (n,m,r)=(2,2,1)"
