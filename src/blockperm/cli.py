@@ -114,7 +114,11 @@ def _hasse(args) -> int:
 
 def _verify(args) -> int:
     suite = args.suite
-    if suite == "schurweyl" and (args.n is not None or args.m is not None):
+    if (args.n, args.m, args.r) != (None, None, None):
+        if suite != "schurweyl":
+            raise ValueError(
+                "--n, --m and --r select a single case of the schurweyl suite"
+            )
         return _verify_schurweyl_case(args)
     checks = verify.run_suite(suite, max_n=args.max_n, jobs=args.jobs)
     ok = all(c.passed for c in checks)
@@ -139,7 +143,9 @@ def _verify(args) -> int:
 
 def _verify_schurweyl_case(args) -> int:
     n = args.n if args.n is not None else 2
-    m = args.m if args.m is not None else 2 * n
+    if n < 0:  # before m's default is derived from it
+        raise ValueError("n must be non-negative")
+    m = args.m if args.m is not None else max(2 * n, 1)
     r = args.r if args.r is not None else n + 1
     # Refuse before building anything; the rank enumerates degree n.
     _check_ceiling(n)

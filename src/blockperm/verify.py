@@ -1,13 +1,17 @@
 """Named verification batteries over the whole package.
 
-Each check is a top-level function taking an optional size cap and returning
-a :class:`Check`; suites are fixed lists of checks so reports are stable and
-the command line can run them, optionally in parallel across checks.  The
-acceptance tests call the same functions with their stated bounds.
+Each check is a top-level function ``check_x(max_n=None) -> Check``, made by
+:func:`_check` from a body that tests one law.  The registration names the
+check's suite, its title and its default degree bound, which ``max_n`` can
+only lower.  Suites list their checks in definition order, so reports are
+stable and the command line can run them, optionally in parallel across
+checks.  The acceptance tests call the same functions with their stated
+bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -83,61 +87,97 @@ class Check:
     detail: str = ""
 
 
-def _cap(default: int, max_n: int | None) -> int:
-    return default if max_n is None else min(default, max_n)
+# Each check registers itself in its suite, in definition order; "all" is
+# filled in after the last check.
+SUITES: dict[str, list[Callable[..., Check]]] = {
+    suite: [] for suite in ("monoid", "hopf", "duality", "bases", "ncsym", "schurweyl")
+}
 
 
-def _fail(name: str, detail: str) -> Check:
-    return Check(name, False, detail)
+class _Failure(str):
+    """The detail text of a failed check."""
 
 
-def _ok(name: str, detail: str = "") -> Check:
-    return Check(name, True, detail)
+def _fail(detail: str) -> str:
+    return _Failure(detail)
+
+
+def _refuse_negative(max_n: int | None) -> None:
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
+
+
+def _check(suite: str, title: str, bound: int | None = None) -> Callable:
+    """Register a check body in ``SUITES[suite]`` under ``title``.
+
+    The body takes the degree bound, ``bound`` lowered to ``max_n`` (no
+    argument when the check has no bound), and returns its passing detail
+    text, or ``_fail(detail)``.  The decorated name is bound to
+    ``check(max_n=None) -> Check``, which ``run_suite`` can send to worker
+    processes."""
+
+    def register(body: Callable[..., str]) -> Callable[..., Check]:
+        # Named as the body, so that it pickles by reference, but with its own
+        # signature and annotations for inspect and help().
+        @functools.wraps(
+            body, assigned=("__module__", "__name__", "__qualname__", "__doc__")
+        )
+        def check(max_n: int | None = None) -> Check:
+            _refuse_negative(max_n)
+            if bound is None:
+                detail = body()
+            else:
+                detail = body(bound if max_n is None else min(bound, max_n))
+            return Check(title, not isinstance(detail, _Failure), str(detail))
+
+        del check.__wrapped__
+        check.title = title
+        SUITES[suite].append(check)
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # monoid suite
 
 
-def check_counts_closed_forms(max_n: int | None = None) -> Check:
-    name = "counts: closed formula = recursion (= known values up to degree 6)"
-    limit = _cap(8, max_n)
+@_check("monoid", "counts: closed formula = recursion (= known values up to degree 6)", 8)
+def check_counts_closed_forms(limit: int) -> str:
     for n in range(limit + 1):
         a, b = count_ubp(n), count_ubp_recursive(n)
         if a != b:
-            return _fail(name, f"n={n}: formula {a} != recursion {b}")
+            return _fail(f"n={n}: formula {a} != recursion {b}")
         if n < len(FIRST_COUNTS) and a != FIRST_COUNTS[n]:
-            return _fail(name, f"n={n}: got {a}, expected {FIRST_COUNTS[n]}")
-    return _ok(name, f"checked n <= {limit}")
+            return _fail(f"n={n}: got {a}, expected {FIRST_COUNTS[n]}")
+    return f"checked n <= {limit}"
 
 
-def check_counts_enumeration(max_n: int | None = None) -> Check:
-    name = "counts: enumeration and generator closure match the formula"
-    limit = _cap(5, max_n)
+@_check("monoid", "counts: enumeration and generator closure match the formula", 5)
+def check_counts_enumeration(limit: int) -> str:
     for n in range(limit + 1):
         enum = enumerate_ubp(n)
         if len(enum) != count_ubp(n):
-            return _fail(name, f"n={n}: enumerated {len(enum)}")
+            return _fail(f"n={n}: enumerated {len(enum)}")
         if len(set(enum)) != len(enum):
-            return _fail(name, f"n={n}: duplicates in enumeration")
+            return _fail(f"n={n}: duplicates in enumeration")
         closure = closure_from_generators(n)
         if set(closure) != set(enum):
-            return _fail(name, f"n={n}: closure has {len(closure)} elements")
-    return _ok(name, f"checked n <= {limit}")
+            return _fail(f"n={n}: closure has {len(closure)} elements")
+    return f"checked n <= {limit}"
 
 
-def check_type_counts(max_n: int | None = None) -> Check:
-    name = "partition counts by type match the multinomial formula"
-    limit = _cap(6, max_n)
+@_check("monoid", "partition counts by type match the multinomial formula", 6)
+def check_type_counts(limit: int) -> str:
     for n in range(limit + 1):
         tally = Counter(p.type() for p in set_partitions(n))
         for t, observed in tally.items():
             if count_of_type(t) != observed:
-                return _fail(name, f"type {t.multiplicities}: formula disagrees")
+                return _fail(f"type {t.multiplicities}: formula disagrees")
         total = sum(tally.values())
         if total != len(set_partitions(n)):
-            return _fail(name, f"n={n}: bad total")
-    return _ok(name, f"checked n <= {limit}")
+            return _fail(f"n={n}: bad total")
+    return f"checked n <= {limit}"
 
 
 def _relation_failure(n: int, s: dict, b: dict, one, mul: Callable) -> str | None:
@@ -173,78 +213,73 @@ def _relation_failure(n: int, s: dict, b: dict, one, mul: Callable) -> str | Non
     return next((text for text, lhs, rhs in relations() if lhs != rhs), None)
 
 
-def check_presentation_relations(max_n: int | None = None) -> Check:
-    name = "generator relations (braid, mixed braid, commuting, absorbing)"
-    limit = _cap(5, max_n)
+@_check("monoid", "generator relations (braid, mixed braid, commuting, absorbing)", 5)
+def check_presentation_relations(limit: int) -> str:
     for n in range(2, limit + 1):
         s = {i: transposition_generator(n, i) for i in range(1, n)}
         b = {i: merge_generator(n, i) for i in range(1, n)}
         failure = _relation_failure(n, s, b, identity(n), compose)
         if failure:
-            return _fail(name, f"n={n}: {failure}")
-    return _ok(name, f"checked n <= {limit}")
+            return _fail(f"n={n}: {failure}")
+    return f"checked n <= {limit}"
 
 
-def check_inverse_monoid(max_n: int | None = None) -> Check:
-    name = "inverse-monoid identities and idempotent classification"
-    limit = _cap(4, max_n)
+@_check("monoid", "inverse-monoid identities and idempotent classification", 4)
+def check_inverse_monoid(limit: int) -> str:
     for n in range(limit + 1):
         elems = enumerate_ubp(n)
         for f in elems:
             finv = diagram_inverse(f)
             if compose(compose(f, finv), f) != f:
-                return _fail(name, f"n={n}: f finv f != f for {f}")
+                return _fail(f"n={n}: f finv f != f for {f}")
             if compose(compose(finv, f), finv) != finv:
-                return _fail(name, f"n={n}: finv f finv != finv for {f}")
+                return _fail(f"n={n}: finv f finv != finv for {f}")
             if diagram_inverse(finv) != f:
-                return _fail(name, f"n={n}: inversion not involutive for {f}")
+                return _fail(f"n={n}: inversion not involutive for {f}")
         for f in elems:
             for g in elems:
                 lhs = diagram_inverse(compose(f, g))
                 rhs = compose(diagram_inverse(g), diagram_inverse(f))
                 if lhs != rhs:
-                    return _fail(name, f"n={n}: (fg)~ != g~ f~ for {f}, {g}")
+                    return _fail(f"n={n}: (fg)~ != g~ f~ for {f}, {g}")
         idempotents = {f for f in elems if compose(f, f) == f}
         expected = {id_of_partition(a) for a in set_partitions(n)}
         if idempotents != expected:
-            return _fail(name, f"n={n}: idempotents are not the partition identities")
-    return _ok(name, f"checked n <= {limit}")
+            return _fail(f"n={n}: idempotents are not the partition identities")
+    return f"checked n <= {limit}"
 
 
-def check_factorization(max_n: int | None = None) -> Check:
-    name = "unique factorization through a block shuffle and an idempotent"
-    limit = _cap(4, max_n)
+@_check("monoid", "unique factorization through a block shuffle and an idempotent", 4)
+def check_factorization(limit: int) -> str:
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
             cert = shuffle_factorization(f)
             if cert.reconstruct() != f:
-                return _fail(name, f"n={n}: reconstruction fails for {f}")
+                return _fail(f"n={n}: reconstruction fails for {f}")
             increasing = all(
                 cert.shuffle(block[t]) < cert.shuffle(block[t + 1])
                 for block in cert.domain.blocks
                 for t in range(len(block) - 1)
             )
             if not increasing:
-                return _fail(name, f"n={n}: factor not a block shuffle for {f}")
-    return _ok(name, f"checked n <= {limit}")
+                return _fail(f"n={n}: factor not a block shuffle for {f}")
+    return f"checked n <= {limit}"
 
 
-def check_meet_morphism(max_n: int | None = None) -> Check:
-    name = "partition identities compose through the lattice meet"
-    limit = _cap(4, max_n)
+@_check("monoid", "partition identities compose through the lattice meet", 4)
+def check_meet_morphism(limit: int) -> str:
     for n in range(limit + 1):
         parts = set_partitions(n)
         for a in parts:
             for b in parts:
                 lhs = compose(id_of_partition(a), id_of_partition(b))
                 if lhs != id_of_partition(meet(a, b)):
-                    return _fail(name, f"n={n}: fails for {a}, {b}")
-    return _ok(name, f"checked n <= {limit}")
+                    return _fail(f"n={n}: fails for {a}, {b}")
+    return f"checked n <= {limit}"
 
 
-def check_relabeling_laws(max_n: int | None = None) -> Check:
-    name = "permutations relabel the codomain on the left, the domain on the right"
-    limit = _cap(4, max_n)
+@_check("monoid", "permutations relabel the codomain on the left, the domain on the right", 4)
+def check_relabeling_laws(limit: int) -> str:
     for n in range(limit + 1):
         elems = enumerate_ubp(n)
         for sigma in all_permutations(n):
@@ -252,50 +287,48 @@ def check_relabeling_laws(max_n: int | None = None) -> Check:
             for f in elems:
                 left = left_compose_perm(sigma, f)
                 if left != compose(u, f):
-                    return _fail(name, f"n={n}: left fast path disagrees")
+                    return _fail(f"n={n}: left fast path disagrees")
                 if left.domain != f.domain:
-                    return _fail(name, f"n={n}: left composition moved the domain")
+                    return _fail(f"n={n}: left composition moved the domain")
                 if left.codomain != partition_action(sigma, f.codomain):
-                    return _fail(name, f"n={n}: left codomain not sigma(image)")
+                    return _fail(f"n={n}: left codomain not sigma(image)")
                 right = compose(f, u)
                 if right.domain != partition_action(sigma.inverse(), f.domain):
-                    return _fail(name, f"n={n}: right domain not sigma^-1(domain)")
-    return _ok(name, f"checked n <= {limit}")
+                    return _fail(f"n={n}: right domain not sigma^-1(domain)")
+    return f"checked n <= {limit}"
 
 
-def check_associativity(max_n: int | None = None) -> Check:
-    name = "composition is associative"
-    limit = _cap(5, max_n)
+@_check("monoid", "composition is associative", 5)
+def check_associativity(limit: int) -> str:
     for n in range(min(limit, 3) + 1):
         elems = enumerate_ubp(n)
         for f, g, h in itertools.product(elems, repeat=3):
             if compose(compose(h, g), f) != compose(h, compose(g, f)):
-                return _fail(name, f"n={n}: fails on {f}, {g}, {h}")
+                return _fail(f"n={n}: fails on {f}, {g}, {h}")
     rng = random.Random(20108)
     for n in range(4, limit + 1):
         elems = enumerate_ubp(n)
         for _ in range(300):
             f, g, h = (rng.choice(elems) for _ in range(3))
             if compose(compose(h, g), f) != compose(h, compose(g, f)):
-                return _fail(name, f"n={n}: fails on {f}, {g}, {h}")
-    return _ok(name, f"exhaustive n <= 3, sampled n <= {limit}")
+                return _fail(f"n={n}: fails on {f}, {g}, {h}")
+    return f"exhaustive n <= 3, sampled n <= {limit}"
 
 
-def check_breaking_splits(max_n: int | None = None) -> Check:
-    name = "breaking-point splits reassemble uniquely"
-    limit = _cap(4, max_n)
+@_check("monoid", "breaking-point splits reassemble uniquely", 4)
+def check_breaking_splits(limit: int) -> str:
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
             points = breaking_points(f)
             if 0 not in points or n not in points:
-                return _fail(name, f"n={n}: 0 or n missing from {points}")
+                return _fail(f"n={n}: 0 or n missing from {points}")
             for i in points:
                 xi, left, right = split_at_breaking_point(f, i)
                 rebuilt = compose(
                     concat(left, right), from_permutation(xi.inverse())
                 )
                 if rebuilt != f:
-                    return _fail(name, f"n={n}: reassembly fails for {f} at {i}")
+                    return _fail(f"n={n}: reassembly fails for {f} at {i}")
                 matches = [
                     eta
                     for eta in shuffles(i, n - i)
@@ -303,115 +336,96 @@ def check_breaking_splits(max_n: int | None = None) -> Check:
                     == f
                 ]
                 if matches != [xi]:
-                    return _fail(name, f"n={n}: shuffle not unique for {f} at {i}")
-    return _ok(name, f"checked n <= {limit}")
+                    return _fail(f"n={n}: shuffle not unique for {f} at {i}")
+    return f"checked n <= {limit}"
 
 
-def check_weak_order_poset(max_n: int | None = None) -> Check:
-    name = "weak order is a partial order on permutations"
-    limit = _cap(5, max_n)
+@_check("bases", "weak order is a partial order on permutations", 5)
+def check_weak_order_poset(limit: int) -> str:
     for n in range(limit + 1):
         perms = all_permutations(n)
         for s in perms:
             if not weak_leq(s, s):
-                return _fail(name, f"n={n}: not reflexive at {s}")
+                return _fail(f"n={n}: not reflexive at {s}")
         for s, t in itertools.combinations(perms, 2):
             if weak_leq(s, t) and weak_leq(t, s):
-                return _fail(name, f"n={n}: antisymmetry fails on {s}, {t}")
+                return _fail(f"n={n}: antisymmetry fails on {s}, {t}")
         for s, t, u in itertools.product(perms, repeat=3):
             if weak_leq(s, t) and weak_leq(t, u) and not weak_leq(s, u):
-                return _fail(name, f"n={n}: transitivity fails")
-    return _ok(name, f"checked n <= {limit}")
+                return _fail(f"n={n}: transitivity fails")
+    return f"checked n <= {limit}"
 
 
-def check_shuffle_posets(max_n: int | None = None) -> Check:
-    name = "shuffle sets are lower ideals with the expected maximum"
-    limit = _cap(5, max_n)
+@_check("bases", "shuffle sets are lower ideals with the expected maximum", 5)
+def check_shuffle_posets(limit: int) -> str:
     for n in range(limit + 1):
         perms = all_permutations(n)
         for p in range(n + 1):
             sh = set(shuffles(p, n - p))
             top = max_shuffle(p, n - p)
             if top not in sh:
-                return _fail(name, f"(p,q)=({p},{n-p}): maximum not a shuffle")
+                return _fail(f"(p,q)=({p},{n-p}): maximum not a shuffle")
             for t in sh:
                 if not weak_leq(t, top):
-                    return _fail(name, f"(p,q)=({p},{n-p}): {t} not below maximum")
+                    return _fail(f"(p,q)=({p},{n-p}): {t} not below maximum")
                 for s in perms:
                     if weak_leq(s, t) and s not in sh:
-                        return _fail(name, f"(p,q)=({p},{n-p}): not a lower ideal")
+                        return _fail(f"(p,q)=({p},{n-p}): not a lower ideal")
         for a in set_partitions(n):
             sh = set(block_shuffles(a))
             for t in sh:
                 for s in perms:
                     if weak_leq(s, t) and s not in sh:
-                        return _fail(name, f"a={a}: block shuffles not a lower ideal")
-    return _ok(name, f"checked n <= {limit}")
+                        return _fail(f"a={a}: block shuffles not a lower ideal")
+    return f"checked n <= {limit}"
 
 
-def check_coset_decomposition(max_n: int | None = None) -> Check:
-    name = "every permutation factors uniquely as block shuffle times stabilizer"
-    limit = _cap(5, max_n)
+@_check("bases", "every permutation factors uniquely as block shuffle times stabilizer", 5)
+def check_coset_decomposition(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             sh = block_shuffles(a)
             st = block_stabilizer(a)
             if len(sh) * len(st) != math.factorial(n):
-                return _fail(name, f"a={a}: |Sh| |S_a| != n!")
+                return _fail(f"a={a}: |Sh| |S_a| != n!")
             products = {xi * pi for xi in sh for pi in st}
             if len(products) != math.factorial(n):
-                return _fail(name, f"a={a}: products not distinct")
-    return _ok(name, f"checked n <= {limit}")
+                return _fail(f"a={a}: products not distinct")
+    return f"checked n <= {limit}"
 
 
-def check_component_decomposition(max_n: int | None = None) -> Check:
-    name = "weak-order components partition the monoid by domain"
-    limit = _cap(5, max_n)
+@_check("bases", "weak-order components partition the monoid by domain", 5)
+def check_component_decomposition(limit: int) -> str:
     for n in range(limit + 1):
         total = 0
         for a in set_partitions(n):
             comp = elements_with_domain(a)
             if len(comp) != len(block_shuffles(a)):
-                return _fail(name, f"a={a}: component size mismatch")
+                return _fail(f"a={a}: component size mismatch")
             total += len(comp)
         if total != count_ubp(n):
-            return _fail(name, f"n={n}: components sum to {total}")
-    return _ok(name, f"checked n <= {limit}")
+            return _fail(f"n={n}: components sum to {total}")
+    return f"checked n <= {limit}"
 
 
-def check_hasse_components(max_n: int | None = None) -> Check:
-    name = "Hasse components are transitively reduced and correctly sized"
-    limit = _cap(4, max_n)
+@_check("bases", "Hasse components are transitively reduced and correctly sized", 4)
+def check_hasse_components(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             nodes, covers = hasse_component(a)
             if len(nodes) != len(block_shuffles(a)):
-                return _fail(name, f"a={a}: node count")
+                return _fail(f"a={a}: node count")
             for i, j in covers:
                 if not ubp_weak_leq(nodes[i], nodes[j]) or nodes[i] == nodes[j]:
-                    return _fail(name, f"a={a}: bad cover")
+                    return _fail(f"a={a}: bad cover")
                 for k in range(len(nodes)):
                     if k in (i, j):
                         continue
                     if ubp_weak_leq(nodes[i], nodes[k]) and ubp_weak_leq(
                         nodes[k], nodes[j]
                     ):
-                        return _fail(name, f"a={a}: cover not a cover")
-    return _ok(name, f"checked n <= {limit}")
-
-
-MONOID_CHECKS = [
-    check_counts_closed_forms,
-    check_counts_enumeration,
-    check_type_counts,
-    check_presentation_relations,
-    check_inverse_monoid,
-    check_factorization,
-    check_meet_morphism,
-    check_relabeling_laws,
-    check_associativity,
-    check_breaking_splits,
-]
+                        return _fail(f"a={a}: cover not a cover")
+    return f"checked n <= {limit}"
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +437,8 @@ def _basis_by_degree(limit: int) -> list[list[Element]]:
     return [[Element.basis(f) for f in enumerate_ubp(n)] for n in range(limit + 1)]
 
 
-def check_hopf_associativity(max_n: int | None = None) -> Check:
-    name = "product is associative"
-    limit = _cap(4, max_n)
+@_check("hopf", "product is associative", 4)
+def check_hopf_associativity(limit: int) -> str:
     basis = _basis_by_degree(limit)
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
@@ -436,13 +449,12 @@ def check_hopf_associativity(max_n: int | None = None) -> Check:
                             lhs = hopf.product(hopf.product(x, y), z)
                             rhs = hopf.product(x, hopf.product(y, z))
                             if lhs != rhs:
-                                return _fail(name, f"fails at degrees {p},{q},{r}")
-    return _ok(name, f"total degree <= {limit}")
+                                return _fail(f"fails at degrees {p},{q},{r}")
+    return f"total degree <= {limit}"
 
 
-def check_hopf_coassociativity(max_n: int | None = None) -> Check:
-    name = "coproduct is coassociative"
-    limit = _cap(5, max_n)
+@_check("hopf", "coproduct is coassociative", 5)
+def check_hopf_coassociativity(limit: int) -> str:
     deltas: dict = {}
 
     def coproduct_terms(x):
@@ -465,13 +477,12 @@ def check_hopf_coassociativity(max_n: int | None = None) -> Check:
                 for (b1, b2), c2 in coproduct_terms(b)
             )
             if lhs != rhs:
-                return _fail(name, f"fails for {f}")
-    return _ok(name, f"degree <= {limit}")
+                return _fail(f"fails for {f}")
+    return f"degree <= {limit}"
 
 
-def check_counit_axiom(max_n: int | None = None) -> Check:
-    name = "counit is a two-sided counit for the coproduct"
-    limit = _cap(4, max_n)
+@_check("hopf", "counit is a two-sided counit for the coproduct", 4)
+def check_counit_axiom(limit: int) -> str:
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
             x = Element.basis(f)
@@ -479,13 +490,12 @@ def check_counit_axiom(max_n: int | None = None) -> Check:
             left = Element((b, c * hopf.counit(Element.basis(a))) for (a, b), c in delta)
             right = Element((a, c * hopf.counit(Element.basis(b))) for (a, b), c in delta)
             if left != x or right != x:
-                return _fail(name, f"fails for {f}")
-    return _ok(name, f"degree <= {limit}")
+                return _fail(f"fails for {f}")
+    return f"degree <= {limit}"
 
 
-def check_bialgebra_compatibility(max_n: int | None = None) -> Check:
-    name = "coproduct of a product is the product of coproducts"
-    limit = _cap(4, max_n)
+@_check("hopf", "coproduct of a product is the product of coproducts", 4)
+def check_bialgebra_compatibility(limit: int) -> str:
     basis = _basis_by_degree(limit)
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
@@ -494,13 +504,12 @@ def check_bialgebra_compatibility(max_n: int | None = None) -> Check:
                     lhs = hopf.coproduct(hopf.product(x, y))
                     rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
                     if lhs != rhs:
-                        return _fail(name, f"fails at degrees {p},{q}")
-    return _ok(name, f"total degree <= {limit}")
+                        return _fail(f"fails at degrees {p},{q}")
+    return f"total degree <= {limit}"
 
 
-def check_antipode_axioms(max_n: int | None = None) -> Check:
-    name = "antipode satisfies both defining identities"
-    limit = _cap(4, max_n)
+@_check("hopf", "antipode satisfies both defining identities", 4)
+def check_antipode_axioms(limit: int) -> str:
     unit = Element.unit()
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
@@ -522,31 +531,30 @@ def check_antipode_axioms(max_n: int | None = None) -> Check:
             )
             target = hopf.counit(x) * unit
             if left != target or right != target:
-                return _fail(name, f"fails for {f}")
-    return _ok(name, f"degree <= {limit}")
+                return _fail(f"fails for {f}")
+    return f"degree <= {limit}"
 
 
-def check_ideal_lemma(max_n: int | None = None) -> Check:
-    name = "domain-class sums absorb permutations and merge generators"
-    limit = _cap(4, max_n)
+@_check("hopf", "domain-class sums absorb permutations and merge generators", 4)
+def check_ideal_lemma(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             za = domain_class_sum(a)
             for sigma in all_permutations(n):
                 left = Element((left_compose_perm(sigma, f), c) for f, c in za.terms.items())
                 if left != za:
-                    return _fail(name, f"left absorption fails for {a}, {sigma}")
+                    return _fail(f"left absorption fails for {a}, {sigma}")
                 moved = hopf.right_action(za, from_permutation(sigma))
                 expected = domain_class_sum(partition_action(sigma.inverse(), a))
                 if moved != expected:
-                    return _fail(name, f"right relabeling fails for {a}, {sigma}")
+                    return _fail(f"right relabeling fails for {a}, {sigma}")
             labels = a.position_labels()
             for i in range(1, n):
                 res = hopf.right_action(za, merge_generator(n, i))
                 k1, k2 = labels[i - 1], labels[i]
                 if k1 == k2:
                     if res != za:
-                        return _fail(name, f"same-block merge fails for {a}, i={i}")
+                        return _fail(f"same-block merge fails for {a}, i={i}")
                 else:
                     s1 = len(a.blocks[k1])
                     s2 = len(a.blocks[k2])
@@ -557,13 +565,12 @@ def check_ideal_lemma(max_n: int | None = None) -> Check:
                     merged = SetPartition.from_blocks(n, merged_blocks)
                     coeff = math.comb(s1 + s2, s1)
                     if res != coeff * domain_class_sum(merged):
-                        return _fail(name, f"merge rule fails for {a}, i={i}")
-    return _ok(name, f"checked n <= {limit}")
+                        return _fail(f"merge rule fails for {a}, i={i}")
+    return f"checked n <= {limit}"
 
 
-def check_right_ideal(max_n: int | None = None) -> Check:
-    name = "the span of domain-class sums is a right ideal"
-    limit = _cap(4, max_n)
+@_check("hopf", "the span of domain-class sums is a right ideal", 4)
+def check_right_ideal(limit: int) -> str:
     for n in range(limit + 1):
         elems = enumerate_ubp(n)
         for a in set_partitions(n):
@@ -573,25 +580,25 @@ def check_right_ideal(max_n: int | None = None) -> Check:
                 try:
                     from_element(moved)
                 except ValueError as exc:
-                    return _fail(name, f"a={a}, h={h}: {exc}")
-    return _ok(name, f"checked n <= {limit}")
+                    return _fail(f"a={a}, h={h}: {exc}")
+    return f"checked n <= {limit}"
 
 
-def check_primitives(max_n: int | None = None) -> Check:
-    name = "expected primitive and non-primitive elements"
+@_check("hopf", "expected primitive and non-primitive elements")
+def check_primitives() -> str:
     one = Element.basis(identity(1))
     if not hopf.is_primitive(one):
-        return _fail(name, "the degree-1 element is not primitive")
+        return _fail("the degree-1 element is not primitive")
     b1 = Element.basis(merge_generator(2, 1))
     if not hopf.is_primitive(b1):
-        return _fail(name, "the merge generator of degree 2 is not primitive")
+        return _fail("the merge generator of degree 2 is not primitive")
     if hopf.is_primitive(Element.basis(identity(2))):
-        return _fail(name, "the degree-2 identity should not be primitive")
+        return _fail("the degree-2 identity should not be primitive")
     f1 = from_block_images(3, [((1, 3), (1, 2)), ((2,), (3,))])
     f2 = from_block_images(3, [((1,), (3,)), ((2, 3), (1, 2))])
     if not hopf.is_primitive(Element.basis(f1) - Element.basis(f2)):
-        return _fail(name, "the degree-3 difference element is not primitive")
-    return _ok(name)
+        return _fail("the degree-3 difference element is not primitive")
+    return ""
 
 
 def _word_shuffle_product(u: tuple[int, ...], v: tuple[int, ...]) -> Counter:
@@ -607,9 +614,8 @@ def _word_shuffle_product(u: tuple[int, ...], v: tuple[int, ...]) -> Counter:
     return out
 
 
-def check_permutation_subalgebra(max_n: int | None = None) -> Check:
-    name = "permutations close under product/coproduct and match word shuffles"
-    limit = _cap(4, max_n)
+@_check("hopf", "permutations close under product/coproduct and match word shuffles", 4)
+def check_permutation_subalgebra(limit: int) -> str:
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
             for sigma in all_permutations(p):
@@ -621,59 +627,44 @@ def check_permutation_subalgebra(max_n: int | None = None) -> Check:
                     got: Counter = Counter()
                     for f, c in prod.terms.items():
                         if not f.is_permutation():
-                            return _fail(name, f"non-permutation term in {sigma}*{tau}")
+                            return _fail(f"non-permutation term in {sigma}*{tau}")
                         got[f.to_permutation().images] += c
                     expected = _word_shuffle_product(sigma.images, tau.images)
                     if got != expected:
-                        return _fail(name, f"word-shuffle oracle disagrees at {sigma}, {tau}")
+                        return _fail(f"word-shuffle oracle disagrees at {sigma}, {tau}")
     for n in range(limit + 1):
         for sigma in all_permutations(n):
             delta = hopf.coproduct(Element.basis(from_permutation(sigma)))
             for (a, b), _ in delta.terms.items():
                 if not (a.is_permutation() and b.is_permutation()):
-                    return _fail(name, f"coproduct of {sigma} leaves the subalgebra")
-    return _ok(name, f"total degree <= {limit}")
-
-
-HOPF_CHECKS = [
-    check_hopf_associativity,
-    check_hopf_coassociativity,
-    check_counit_axiom,
-    check_bialgebra_compatibility,
-    check_antipode_axioms,
-    check_ideal_lemma,
-    check_right_ideal,
-    check_primitives,
-    check_permutation_subalgebra,
-]
+                    return _fail(f"coproduct of {sigma} leaves the subalgebra")
+    return f"total degree <= {limit}"
 
 
 # ---------------------------------------------------------------------------
 # duality suite
 
 
-def check_pairing_basics(max_n: int | None = None) -> Check:
-    name = "pairing is the diagram-inversion permutation form"
-    limit = _cap(4, max_n)
+@_check("duality", "pairing is the diagram-inversion permutation form", 4)
+def check_pairing_basics(limit: int) -> str:
     for n in range(limit + 1):
         elems = enumerate_ubp(n)
         for f in elems:
             for g in elems:
                 expected = 1 if g == diagram_inverse(f) else 0
                 if hopf.pairing(Element.basis(f), Element.basis(g)) != expected:
-                    return _fail(name, f"fails at {f}, {g}")
+                    return _fail(f"fails at {f}, {g}")
                 sym = hopf.pairing(Element.basis(g), Element.basis(f))
                 if sym != expected:
-                    return _fail(name, f"not symmetric at {f}, {g}")
-    return _ok(name, f"degree <= {limit}")
+                    return _fail(f"not symmetric at {f}, {g}")
+    return f"degree <= {limit}"
 
 
-def check_duality_adjunction(max_n: int | None = None) -> Check:
+@_check("duality", "the pairing turns the product into the coproduct", 4)
+def check_duality_adjunction(limit: int) -> str:
     """<xy, z> = <x (x) y, Delta z> for all basis diagrams x, y, z.  The left
     side is the coefficient of z^-1 in xy and the right side that of
     (x^-1, y^-1) in Delta z, so both tables below are indexed by (x, y, z)."""
-    name = "the pairing turns the product into the coproduct"
-    limit = _cap(4, max_n)
     elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for deg in range(limit + 1):
         products = {
@@ -694,34 +685,29 @@ def check_duality_adjunction(max_n: int | None = None) -> Check:
                 for key in products.keys() | coproducts.keys()
                 if products.get(key) != coproducts.get(key)
             )
-            return _fail(name, f"fails at degrees {x.n},{y.n} on {z}")
-    return _ok(name, f"degree <= {limit}")
-
-
-DUALITY_CHECKS = [check_pairing_basics, check_duality_adjunction]
+            return _fail(f"fails at degrees {x.n},{y.n} on {z}")
+    return f"degree <= {limit}"
 
 
 # ---------------------------------------------------------------------------
 # bases suite (weak order and the two triangular bases)
 
 
-def _basis_roundtrip(name: str, to_basis, from_basis, max_n: int | None) -> Check:
+def _basis_roundtrip(to_basis, from_basis, limit: int) -> str:
     """Both compositions of a basis change and its inverse fix every diagram."""
-    limit = _cap(4, max_n)
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
             e = Element.basis(f)
             if to_basis(from_basis(e)) != e:
-                return _fail(name, f"coords->expand->coords fails at {f}")
+                return _fail(f"coords->expand->coords fails at {f}")
             if from_basis(to_basis(e)) != e:
-                return _fail(name, f"expand->coords->expand fails at {f}")
-    return _ok(name, f"degree <= {limit}")
+                return _fail(f"expand->coords->expand fails at {f}")
+    return f"degree <= {limit}"
 
 
-def _basis_product(name: str, from_basis, rule: Callable, max_n: int | None) -> Check:
+def _basis_product(from_basis, rule: Callable, limit: int) -> str:
     """The basis vectors of g1 and g2 multiply to the basis vector of
     rule(g1, g2)."""
-    limit = _cap(4, max_n)
     elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for p in range(limit + 1):
         for q in range(limit + 1 - p):
@@ -731,110 +717,90 @@ def _basis_product(name: str, from_basis, rule: Callable, max_n: int | None) -> 
                         from_basis(Element.basis(g1)), from_basis(Element.basis(g2))
                     )
                     if lhs != from_basis(Element.basis(rule(g1, g2))):
-                        return _fail(name, f"fails at {g1}, {g2}")
-    return _ok(name, f"total degree <= {limit}")
+                        return _fail(f"fails at {g1}, {g2}")
+    return f"total degree <= {limit}"
 
 
-def check_lower_basis_roundtrip(max_n: int | None = None) -> Check:
-    name = "lower-sum basis change is an exact round trip"
-    return _basis_roundtrip(name, hopf.to_lower_basis, hopf.from_lower_basis, max_n)
+@_check("bases", "lower-sum basis change is an exact round trip", 4)
+def check_lower_basis_roundtrip(limit: int) -> str:
+    return _basis_roundtrip(hopf.to_lower_basis, hopf.from_lower_basis, limit)
 
 
-def check_upper_basis_roundtrip(max_n: int | None = None) -> Check:
-    name = "upper-sum basis change is an exact round trip"
-    return _basis_roundtrip(name, hopf.to_upper_basis, hopf.from_upper_basis, max_n)
+@_check("bases", "upper-sum basis change is an exact round trip", 4)
+def check_upper_basis_roundtrip(limit: int) -> str:
+    return _basis_roundtrip(hopf.to_upper_basis, hopf.from_upper_basis, limit)
 
 
-def check_lower_basis_product(max_n: int | None = None) -> Check:
-    name = "lower-sum basis multiplies through the maximal shuffle"
+@_check("bases", "lower-sum basis multiplies through the maximal shuffle", 4)
+def check_lower_basis_product(limit: int) -> str:
     rule = lambda g1, g2: left_compose_perm(max_shuffle(g1.n, g2.n), concat(g1, g2))
-    return _basis_product(name, hopf.from_lower_basis, rule, max_n)
+    return _basis_product(hopf.from_lower_basis, rule, limit)
 
 
-def check_upper_basis_product(max_n: int | None = None) -> Check:
-    name = "upper-sum basis multiplies by concatenation"
-    return _basis_product(name, hopf.from_upper_basis, concat, max_n)
+@_check("bases", "upper-sum basis multiplies by concatenation", 4)
+def check_upper_basis_product(limit: int) -> str:
+    return _basis_product(hopf.from_upper_basis, concat, limit)
 
 
-def check_upper_basis_domain_sums(max_n: int | None = None) -> Check:
-    name = "upper sums at partition identities are the domain-class sums"
-    limit = _cap(4, max_n)
+@_check("bases", "upper sums at partition identities are the domain-class sums", 4)
+def check_upper_basis_domain_sums(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             lhs = hopf.from_upper_basis(Element.basis(id_of_partition(a)))
             if lhs != domain_class_sum(a):
-                return _fail(name, f"fails at {a}")
-    return _ok(name, f"degree <= {limit}")
+                return _fail(f"fails at {a}")
+    return f"degree <= {limit}"
 
 
-def check_series(max_n: int | None = None) -> Check:
-    name = "primitive dimensions by series inversion"
-    limit = _cap(6, max_n)
+@_check("bases", "primitive dimensions by series inversion", 6)
+def check_series(limit: int) -> str:
     v = hopf.primitive_series(limit)
     if v != FIRST_PRIMITIVE_DIMS[:limit]:
-        return _fail(name, f"got {v}")
+        return _fail(f"got {v}")
     u = hopf.counts_from_primitives(v)
     if u != FIRST_COUNTS[: limit + 1]:
-        return _fail(name, f"recomposition gives {u}")
-    return _ok(name, f"degrees 1..{limit}")
-
-
-BASES_CHECKS = [
-    check_weak_order_poset,
-    check_shuffle_posets,
-    check_coset_decomposition,
-    check_component_decomposition,
-    check_hasse_components,
-    check_lower_basis_roundtrip,
-    check_upper_basis_roundtrip,
-    check_lower_basis_product,
-    check_upper_basis_product,
-    check_upper_basis_domain_sums,
-    check_series,
-]
+        return _fail(f"recomposition gives {u}")
+    return f"degrees 1..{limit}"
 
 
 # ---------------------------------------------------------------------------
 # ncsym suite
 
 
-def check_power_sum_counts(max_n: int | None = None) -> Check:
-    name = "power-sum truncations have one word per block colouring"
-    limit = _cap(4, max_n)
+@_check("ncsym", "power-sum truncations have one word per block colouring", 4)
+def check_power_sum_counts(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             for k in (1, 2, 3):
                 words = power_sum_words(a, k)
                 if len(words) != k**a.num_blocks:
-                    return _fail(name, f"a={a}, k={k}: {len(words)} words")
+                    return _fail(f"a={a}, k={k}: {len(words)} words")
                 if len(set(words)) != len(words):
-                    return _fail(name, f"a={a}, k={k}: duplicate words")
-    return _ok(name, f"degree <= {limit}")
+                    return _fail(f"a={a}, k={k}: duplicate words")
+    return f"degree <= {limit}"
 
 
-def check_power_sum_invariance(max_n: int | None = None) -> Check:
-    name = "power-sum truncations are stable under renaming the letters"
-    limit = _cap(4, max_n)
+@_check("ncsym", "power-sum truncations are stable under renaming the letters", 4)
+def check_power_sum_invariance(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             words = power_sum_words(a, 3)
             for sigma in all_permutations(3):
                 renamed = sorted(tuple(sigma(x) for x in w) for w in words)
                 if renamed != words:
-                    return _fail(name, f"a={a}: fails under {sigma}")
-    return _ok(name, f"degree <= {limit}, alphabet of 3")
+                    return _fail(f"a={a}: fails under {sigma}")
+    return f"degree <= {limit}, alphabet of 3"
 
 
-def check_p_product_oracle(max_n: int | None = None) -> Check:
-    name = "p-basis product matches word concatenation"
-    limit = _cap(5, max_n)
+@_check("ncsym", "p-basis product matches word concatenation", 5)
+def check_p_product_oracle(limit: int) -> str:
     for na in range(limit + 1):
         for nb in range(limit + 1 - na):
             for a in set_partitions(na):
                 for b in set_partitions(nb):
                     prod = p_product(NCSymElement.basis(a), NCSymElement.basis(b))
                     if prod != NCSymElement.basis(cross(a, b)):
-                        return _fail(name, f"fails at {a}, {b}")
+                        return _fail(f"fails at {a}, {b}")
                     for k in (1, 2, 3):
                         concat_words = Counter(
                             wa + wb
@@ -843,13 +809,12 @@ def check_p_product_oracle(max_n: int | None = None) -> Check:
                         )
                         direct = Counter(power_sum_words(cross(a, b), k))
                         if concat_words != direct:
-                            return _fail(name, f"oracle disagrees at {a}, {b}, k={k}")
-    return _ok(name, f"total degree <= {limit}, alphabets <= 3")
+                            return _fail(f"oracle disagrees at {a}, {b}, k={k}")
+    return f"total degree <= {limit}, alphabets <= 3"
 
 
-def check_p_coproduct_oracle(max_n: int | None = None) -> Check:
-    name = "p-basis coproduct matches two-alphabet word counting"
-    limit = _cap(4, max_n)
+@_check("ncsym", "p-basis coproduct matches two-alphabet word counting", 4)
+def check_p_coproduct_oracle(limit: int) -> str:
     k1 = k2 = 2
     for n in range(limit + 1):
         for a in set_partitions(n):
@@ -869,12 +834,12 @@ def check_p_coproduct_oracle(max_n: int | None = None) -> Check:
                 wr = tuple(x - k1 for x in word if x > k1)
                 actual[(wl, wr)] += 1
             if +expected != +actual:
-                return _fail(name, f"fails at {a}")
-    return _ok(name, f"degree <= {limit}, alphabets of 2+2")
+                return _fail(f"fails at {a}")
+    return f"degree <= {limit}, alphabets of 2+2"
 
 
-def check_p_coproduct_display(max_n: int | None = None) -> Check:
-    name = "six-element coproduct example expands to the eight expected terms"
+@_check("ncsym", "six-element coproduct example expands to the eight expected terms")
+def check_p_coproduct_display() -> str:
     pp = parse_set_partition
     a = pp("{1,2,6}{3,5}{4}")
     delta = p_coproduct(NCSymElement.basis(a))
@@ -890,13 +855,12 @@ def check_p_coproduct_display(max_n: int | None = None) -> Check:
         (empty, a): 1,
     }
     if dict(delta.terms) != expected:
-        return _fail(name, f"got {delta}")
-    return _ok(name)
+        return _fail(f"got {delta}")
+    return ""
 
 
-def check_transport(max_n: int | None = None) -> Check:
-    name = "the p-basis and the domain-class sums exchange product and coproduct"
-    limit = _cap(4, max_n)
+@_check("ncsym", "the p-basis and the domain-class sums exchange product and coproduct", 4)
+def check_transport(limit: int) -> str:
     for na in range(limit + 1):
         for nb in range(limit + 1 - na):
             for a in set_partitions(na):
@@ -909,7 +873,7 @@ def check_transport(max_n: int | None = None) -> Check:
                         p_product(NCSymElement.basis(a), NCSymElement.basis(b))
                     )
                     if lhs != rhs:
-                        return _fail(name, f"product transport fails at {a}, {b}")
+                        return _fail(f"product transport fails at {a}, {b}")
     for n in range(limit + 1):
         for a in set_partitions(n):
             lhs = hopf.coproduct(to_element(NCSymElement.basis(a)))
@@ -920,46 +884,33 @@ def check_transport(max_n: int | None = None) -> Check:
                 for fr, cr in to_element(NCSymElement.basis(right)).terms.items()
             )
             if lhs != rhs:
-                return _fail(name, f"coproduct transport fails at {a}")
-    return _ok(name, f"total degree <= {limit}")
+                return _fail(f"coproduct transport fails at {a}")
+    return f"total degree <= {limit}"
 
 
-def check_roundtrip_embedding(max_n: int | None = None) -> Check:
-    name = "embedding into the diagram algebra round-trips"
-    limit = _cap(4, max_n)
+@_check("ncsym", "embedding into the diagram algebra round-trips", 4)
+def check_roundtrip_embedding(limit: int) -> str:
     for n in range(limit + 1):
         for a in set_partitions(n):
             u = NCSymElement.basis(a)
             if from_element(to_element(u)) != u:
-                return _fail(name, f"fails at {a}")
+                return _fail(f"fails at {a}")
     bad = Element.basis(identity(2))
     try:
         from_element(bad)
     except ValueError:
         pass
     else:
-        return _fail(name, "accepted an element outside the span")
-    return _ok(name, f"degree <= {limit}")
-
-
-NCSYM_CHECKS = [
-    check_power_sum_counts,
-    check_power_sum_invariance,
-    check_p_product_oracle,
-    check_p_coproduct_oracle,
-    check_p_coproduct_display,
-    check_transport,
-    check_roundtrip_embedding,
-]
+        return _fail("accepted an element outside the span")
+    return f"degree <= {limit}"
 
 
 # ---------------------------------------------------------------------------
 # schurweyl suite
 
 
-def check_action_orientation(max_n: int | None = None) -> Check:
-    name = "action matrices reverse composition in exactly one orientation"
-    limit = _cap(3, max_n)
+@_check("schurweyl", "action matrices reverse composition in exactly one orientation", 3)
+def check_action_orientation(limit: int) -> str:
     saw_noncommuting = False
     for n in range(limit + 1):
         for m in (2, 3):
@@ -969,18 +920,17 @@ def check_action_orientation(max_n: int | None = None) -> Check:
             for f, g in itertools.product(mats, repeat=2):
                 lhs = mats[g] @ mats[f]
                 if schurweyl.ubp_action_matrix(compose(g, f), m) != lhs:
-                    return _fail(name, f"pinned orientation fails at n={n}, m={m}")
+                    return _fail(f"pinned orientation fails at n={n}, m={m}")
                 if lhs != mats[f] @ mats[g]:
                     saw_noncommuting = True
     if limit >= 3 and not saw_noncommuting:
         # below degree 3 all the matrices commute, so no witness can exist
-        return _fail(name, "both orientations held everywhere; nothing is pinned")
-    return _ok(name, f"checked n <= {limit}, m <= 3")
+        return _fail("both orientations held everywhere; nothing is pinned")
+    return f"checked n <= {limit}, m <= 3"
 
 
-def check_generator_matrix_relations(max_n: int | None = None) -> Check:
-    name = "generator matrices satisfy the monoid relations"
-    limit = _cap(3, max_n)
+@_check("schurweyl", "generator matrices satisfy the monoid relations", 3)
+def check_generator_matrix_relations(limit: int) -> str:
     for n in range(2, limit + 1):
         for m in (2, 3):
             s = {
@@ -994,13 +944,12 @@ def check_generator_matrix_relations(max_n: int | None = None) -> Check:
             eye = schurweyl.ActionMatrix.identity(m**n)
             failure = _relation_failure(n, s, b, eye, operator.matmul)
             if failure:
-                return _fail(name, f"n={n}, m={m}: {failure}")
-    return _ok(name, f"checked n <= {limit}, m <= 3")
+                return _fail(f"n={n}, m={m}: {failure}")
+    return f"checked n <= {limit}, m <= 3"
 
 
-def check_generator_factorization_route(max_n: int | None = None) -> Check:
-    name = "direct action matrices match generator-word products"
-    limit = _cap(3, max_n)
+@_check("schurweyl", "direct action matrices match generator-word products", 3)
+def check_generator_factorization_route(limit: int) -> str:
     for n in range(limit + 1):
         for m in (2, 3):
             gens = schurweyl.monoid_generators(n)
@@ -1022,13 +971,12 @@ def check_generator_factorization_route(max_n: int | None = None) -> Check:
                 for gi in word:
                     mat = gen_mats[gi] @ mat
                 if mat != schurweyl.ubp_action_matrix(f, m):
-                    return _fail(name, f"routes disagree for {f} at m={m}")
-    return _ok(name, f"checked n <= {limit}, m <= 3")
+                    return _fail(f"routes disagree for {f} at m={m}")
+    return f"checked n <= {limit}, m <= 3"
 
 
-def check_commutation(max_n: int | None = None) -> Check:
-    name = "diagram action commutes with the wreath-product action"
-    limit = _cap(8, max_n)
+@_check("schurweyl", "diagram action commutes with the wreath-product action", 8)
+def check_commutation(limit: int) -> str:
     cases = 0
     for n in range(1, limit + 1):
         for m in range(1, 257):
@@ -1036,27 +984,25 @@ def check_commutation(max_n: int | None = None) -> Check:
                 break
             for r in range(1, 5):
                 if not schurweyl.commutation_check(n, m, r):
-                    return _fail(name, f"fails at (n,m,r)=({n},{m},{r})")
+                    return _fail(f"fails at (n,m,r)=({n},{m},{r})")
                 cases += 1
-    return _ok(name, f"{cases} cases with dimension <= 256, root order <= 4")
+    return f"{cases} cases with dimension <= 256, root order <= 4"
 
 
-def check_span_ranks(max_n: int | None = None) -> Check:
-    name = "action matrices span a space of the full monoid dimension"
+@_check("schurweyl", "action matrices span a space of the full monoid dimension", 3)
+def check_span_ranks(limit: int) -> str:
     targets = [(1, 1), (2, 4), (3, 6)]
-    limit = _cap(3, max_n)
     for n, m in targets:
         if n > limit:
             continue
         rank = schurweyl.action_span_rank(n, m)
         if rank != count_ubp(n):
-            return _fail(name, f"(n,m)=({n},{m}): rank {rank}")
-    return _ok(name, f"checked degrees up to {limit} at doubled dimension")
+            return _fail(f"(n,m)=({n},{m}): rank {rank}")
+    return f"checked degrees up to {limit} at doubled dimension"
 
 
-def check_convolution(max_n: int | None = None) -> Check:
-    name = "tensor-algebra convolution realizes the shuffle product"
-    limit = _cap(4, max_n)
+@_check("schurweyl", "tensor-algebra convolution realizes the shuffle product", 4)
+def check_convolution(limit: int) -> str:
     m = 2
     elems = [enumerate_ubp(n) for n in range(limit + 1)]
     for p in range(limit + 1):
@@ -1066,44 +1012,28 @@ def check_convolution(max_n: int | None = None) -> Check:
                     conv = schurweyl.convolution_action(f, g, m)
                     prod = hopf.product(Element.basis(f), Element.basis(g))
                     if conv != schurweyl.element_action_matrix(prod, m):
-                        return _fail(name, f"fails at {f}, {g}")
-    return _ok(name, f"total degree <= {limit}, m = {m}")
-
-
-SCHURWEYL_CHECKS = [
-    check_action_orientation,
-    check_generator_matrix_relations,
-    check_generator_factorization_route,
-    check_commutation,
-    check_span_ranks,
-    check_convolution,
-]
+                        return _fail(f"fails at {f}, {g}")
+    return f"total degree <= {limit}, m = {m}"
 
 
 # ---------------------------------------------------------------------------
-# suite registry
+# running suites
 
 
-SUITES: dict[str, list[Callable[..., Check]]] = {
-    "monoid": MONOID_CHECKS,
-    "hopf": HOPF_CHECKS,
-    "duality": DUALITY_CHECKS,
-    "bases": BASES_CHECKS,
-    "ncsym": NCSYM_CHECKS,
-    "schurweyl": SCHURWEYL_CHECKS,
-}
-SUITES["all"] = [fn for key in ("monoid", "hopf", "duality", "bases", "ncsym", "schurweyl") for fn in SUITES[key]]
+SUITES["all"] = [fn for fns in SUITES.values() for fn in fns]
 
 
 def run_check(fn: Callable[..., Check], max_n: int | None = None) -> Check:
-    """Run one check.  A crash is a failed check, but a refusal by the
-    enumeration ceiling propagates: no law was tested."""
+    """Run one registered check.  A crash is a failed check, named by the
+    check's title, but a negative bound or a refusal by the enumeration
+    ceiling propagates: no law was tested."""
+    _refuse_negative(max_n)
     try:
         return fn(max_n)
     except EnumerationCeilingError:
         raise
     except Exception as exc:  # a crash is a failure, not an abort
-        return Check(getattr(fn, "__name__", str(fn)), False, f"raised {exc!r}")
+        return Check(fn.title, False, f"raised {exc!r}")
 
 
 def run_suite(
@@ -1113,6 +1043,7 @@ def run_suite(
         raise ValueError(
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
+    _refuse_negative(max_n)
     fns = SUITES[suite]
     workers = min(jobs, len(fns), os.cpu_count() or 1)
     if workers <= 1:

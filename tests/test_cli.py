@@ -58,6 +58,56 @@ PASS tensor-algebra convolution realizes the shuffle product (total degree <= 2,
 45/45 checks passed
 """
 
+# `blockperm verify all --max-n 2 --format json`: the same checks as JSON.
+VERIFY_ALL_MAX_N_2_JSON = (
+    '{"checks": ['
+    '{"detail": "checked n <= 2", "name": "counts: closed formula = recursion (= known values up to degree 6)", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "counts: enumeration and generator closure match the formula", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "partition counts by type match the multinomial formula", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "generator relations (braid, mixed braid, commuting, absorbing)", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "inverse-monoid identities and idempotent classification", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "unique factorization through a block shuffle and an idempotent", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "partition identities compose through the lattice meet", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "permutations relabel the codomain on the left, the domain on the right", "passed": true}, '
+    '{"detail": "exhaustive n <= 3, sampled n <= 2", "name": "composition is associative", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "breaking-point splits reassemble uniquely", "passed": true}, '
+    '{"detail": "total degree <= 2", "name": "product is associative", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "coproduct is coassociative", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "counit is a two-sided counit for the coproduct", "passed": true}, '
+    '{"detail": "total degree <= 2", "name": "coproduct of a product is the product of coproducts", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "antipode satisfies both defining identities", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "domain-class sums absorb permutations and merge generators", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "the span of domain-class sums is a right ideal", "passed": true}, '
+    '{"detail": "", "name": "expected primitive and non-primitive elements", "passed": true}, '
+    '{"detail": "total degree <= 2", "name": "permutations close under product/coproduct and match word shuffles", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "pairing is the diagram-inversion permutation form", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "the pairing turns the product into the coproduct", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "weak order is a partial order on permutations", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "shuffle sets are lower ideals with the expected maximum", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "every permutation factors uniquely as block shuffle times stabilizer", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "weak-order components partition the monoid by domain", "passed": true}, '
+    '{"detail": "checked n <= 2", "name": "Hasse components are transitively reduced and correctly sized", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "lower-sum basis change is an exact round trip", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "upper-sum basis change is an exact round trip", "passed": true}, '
+    '{"detail": "total degree <= 2", "name": "lower-sum basis multiplies through the maximal shuffle", "passed": true}, '
+    '{"detail": "total degree <= 2", "name": "upper-sum basis multiplies by concatenation", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "upper sums at partition identities are the domain-class sums", "passed": true}, '
+    '{"detail": "degrees 1..2", "name": "primitive dimensions by series inversion", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "power-sum truncations have one word per block colouring", "passed": true}, '
+    '{"detail": "degree <= 2, alphabet of 3", "name": "power-sum truncations are stable under renaming the letters", "passed": true}, '
+    '{"detail": "total degree <= 2, alphabets <= 3", "name": "p-basis product matches word concatenation", "passed": true}, '
+    '{"detail": "degree <= 2, alphabets of 2+2", "name": "p-basis coproduct matches two-alphabet word counting", "passed": true}, '
+    '{"detail": "", "name": "six-element coproduct example expands to the eight expected terms", "passed": true}, '
+    '{"detail": "total degree <= 2", "name": "the p-basis and the domain-class sums exchange product and coproduct", "passed": true}, '
+    '{"detail": "degree <= 2", "name": "embedding into the diagram algebra round-trips", "passed": true}, '
+    '{"detail": "checked n <= 2, m <= 3", "name": "action matrices reverse composition in exactly one orientation", "passed": true}, '
+    '{"detail": "checked n <= 2, m <= 3", "name": "generator matrices satisfy the monoid relations", "passed": true}, '
+    '{"detail": "checked n <= 2, m <= 3", "name": "direct action matrices match generator-word products", "passed": true}, '
+    '{"detail": "1088 cases with dimension <= 256, root order <= 4", "name": "diagram action commutes with the wreath-product action", "passed": true}, '
+    '{"detail": "checked degrees up to 2 at doubled dimension", "name": "action matrices span a space of the full monoid dimension", "passed": true}, '
+    '{"detail": "total degree <= 2, m = 2", "name": "tensor-algebra convolution realizes the shuffle product", "passed": true}], "passed": true, "suite": "all"}\n'
+)
+
 # `blockperm verify schurweyl --n 3 --m 2 --r 2`: pairs, rank note, spot checks.
 SCHURWEYL_N3_M2_R2 = """\
 [s_1, t_1] commutes
@@ -365,6 +415,51 @@ class TestVerify:
     def test_all_text_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2")
         assert (code, out, err) == (0, VERIFY_ALL_MAX_N_2, "")
+
+    def test_all_json_is_pinned(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "all", "--max-n", "2", "--format", "json"
+        )
+        assert (code, out, err) == (0, VERIFY_ALL_MAX_N_2_JSON, "")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_max_n_is_refused(self, capsys, jobs):
+        code, out, _ = run_cli(capsys, "verify", "monoid", "--max-n", "0")
+        assert code == 0
+        assert "PASS counts: closed formula" in out and "(checked n <= 0)" in out
+        assert run_cli(
+            capsys, "verify", "monoid", "--max-n", "-1", "--jobs", jobs
+        ) == (2, "", "error: max_n must be non-negative, got -1\n")
+
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            # a lone --r selects the single case, so its value is checked
+            (["--r", "0"], "error: r must be at least 1\n"),
+            # n is checked before m's default is derived from it
+            (["--n", "-1"], "error: n must be non-negative\n"),
+        ],
+        ids=["lone-r", "negative-n"],
+    )
+    def test_schurweyl_case_flag_errors(self, capsys, flags, err):
+        assert run_cli(capsys, "verify", "schurweyl", *flags) == (2, "", err)
+
+    def test_schurweyl_case_n_0_defaults_m_to_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "schurweyl", "--n", "0")
+        assert (code, out, err) == (
+            0,
+            "commutation(n=0, m=1, r=1): PASS\n"
+            "action span rank: 1 (monoid size 1)\n"
+            "convolution {}->{} with {}->{}: agrees\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--r"])
+    def test_case_flags_refused_outside_schurweyl(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", "hopf", flag, "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert all(word in err for word in ("--n", "--m", "--r", "schurweyl"))
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "duality", "--max-n", "2", "--jobs", "2")

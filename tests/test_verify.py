@@ -1,11 +1,22 @@
 """Each verify check that compares two computations fails when one of them
-is broken on purpose."""
+is broken on purpose, and every check is registered once, under its title
+and bound."""
+
+import inspect
+from collections import Counter
 
 import pytest
 
 from blockperm import hopf, schurweyl, verify
 from blockperm.hopf import Element, TensorElement
-from blockperm.monoid import identity, merge_generator, transposition_generator
+from blockperm.monoid import (
+    EnumerationCeilingError,
+    identity,
+    merge_generator,
+    transposition_generator,
+)
+
+SUITE_KEYS = ["monoid", "hopf", "duality", "bases", "ncsym", "schurweyl"]
 
 
 def test_dropped_coproduct_term_is_caught(monkeypatch):
@@ -97,3 +108,66 @@ def test_extra_killed_word_is_caught(monkeypatch):
     check = verify.check_commutation()
     assert check.passed is False
     assert check.detail == "fails at (n,m,r)=(2,2,1)"
+
+
+def test_every_check_is_registered_in_exactly_one_suite():
+    defined = {
+        obj for name, obj in vars(verify).items() if name.startswith("check_")
+    }
+    registered = Counter(fn for key in SUITE_KEYS for fn in verify.SUITES[key])
+    assert set(registered) == defined
+    assert set(registered.values()) == {1}
+
+
+def test_titles_are_unique():
+    titles = [fn.title for fn in verify.SUITES["all"]]
+    assert len(titles) == len(set(titles)) == 45
+
+
+def test_all_is_the_six_suites_in_key_order():
+    assert list(verify.SUITES) == SUITE_KEYS + ["all"]
+    assert verify.SUITES["all"] == [
+        fn for key in SUITE_KEYS for fn in verify.SUITES[key]
+    ]
+
+
+def test_crash_is_reported_under_the_title(monkeypatch):
+    def broken(x):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(hopf, "is_primitive", broken)
+    assert verify.run_check(verify.check_primitives, 2) == verify.Check(
+        "expected primitive and non-primitive elements",
+        False,
+        "raised RuntimeError('broken on purpose')",
+    )
+
+
+def test_ceiling_refusal_propagates(monkeypatch):
+    monkeypatch.setenv("BLOCKPERM_CEILING", "2")
+    with pytest.raises(EnumerationCeilingError):
+        verify.run_check(verify.check_inverse_monoid, 3)
+
+
+@pytest.mark.parametrize("check", [verify.check_type_counts, verify.check_primitives])
+def test_negative_bound_is_refused(check):
+    with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
+        check(-1)
+    with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
+        verify.run_check(check, -1)
+    with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
+        verify.run_suite("monoid", max_n=-1)
+
+
+def test_signature_is_the_call_not_the_body():
+    assert str(inspect.signature(verify.check_type_counts)) == (
+        "(max_n: 'int | None' = None) -> 'Check'"
+    )
+
+
+def test_bound_zero_checks_degree_zero():
+    assert verify.check_type_counts(0) == verify.Check(
+        "partition counts by type match the multinomial formula",
+        True,
+        "checked n <= 0",
+    )
