@@ -119,6 +119,9 @@ def _verify(args) -> int:
             raise ValueError(
                 "--n, --m and --r select a single case of the schurweyl suite"
             )
+        # The case ignores --max-n and --jobs, but refuses what the suite refuses.
+        verify._refuse_negative(args.max_n)
+        verify._refuse_no_workers(args.jobs)
         return _verify_schurweyl_case(args)
     checks = verify.run_suite(suite, max_n=args.max_n, jobs=args.jobs)
     ok = all(c.passed for c in checks)

@@ -73,8 +73,17 @@ class UniformBlockPermutation:
     ``top[i]`` is the index of the domain block containing i + 1, and
     ``bot[j]`` the index of the domain block whose image contains j + 1.
     Domain blocks are numbered in canonical order, so labels first appear
-    along ``top`` in increasing order.  The rows are validated on
-    construction, so every value in circulation is uniform.
+    along ``top`` in increasing order.  The constructor validates the rows,
+    and so does every path that takes rows from outside the package
+    (:func:`from_labels`, the parsers, :func:`ubp_from_json`, unpickling).
+    Only :meth:`_trusted` skips the check.  Its callers are the producers
+    :func:`compose`, :func:`left_compose_perm`, :func:`concat`,
+    :func:`diagram_inverse` and :func:`split_at_breaking_point`, whose rows
+    are canonical and uniform by construction from valid elements: the glue
+    kernel and ``canonical_labels`` number labels by first appearance along
+    the top row, and permuting the bottom row or shifting the labels of a
+    right-hand factor keeps both rows canonical with equal label counts.  So
+    every value in circulation is uniform.
 
     Elements sort as the tuple ``(domain, codomain, block_map)``, where
     ``block_map[k]`` is the index, in canonical block order of the codomain,
@@ -92,6 +101,15 @@ class UniformBlockPermutation:
         labels = list(dict.fromkeys(top))
         if labels != list(range(len(labels))) or sorted(top) != sorted(bot):
             _reject(top, bot)
+
+    @classmethod
+    def _trusted(cls, top: tuple[int, ...], bot: tuple[int, ...]) -> UniformBlockPermutation:
+        """The element with rows known to be canonical and uniform, built
+        without validation; never call it on rows from outside the package."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bot", bot)
+        return self
 
     def __reduce__(self):
         # The sort key is a cache: pickle the rows and validate them again.
@@ -302,9 +320,9 @@ def compose(g: UBP, f: UBP) -> UBP:
     >>> compose(merge_generator(2, 1), transposition_generator(2, 1)) == merge_generator(2, 1)
     True
     """
-    if f.n != g.n:
+    if len(f.top) != len(g.top):
         raise ValueError(f"size mismatch: {g.n} vs {f.n}")
-    return UBP(*glue_labels(f.top, f.bot, g.top, g.bot))
+    return UBP._trusted(*glue_labels(f.top, f.bot, g.top, g.bot))
 
 
 def left_compose_perm(sigma: Permutation, f: UBP) -> UBP:
@@ -315,7 +333,7 @@ def left_compose_perm(sigma: Permutation, f: UBP) -> UBP:
     new_bot = [0] * f.n
     for j, image in enumerate(sigma.images):
         new_bot[image - 1] = bot[j]
-    return UBP(f.top, tuple(new_bot))
+    return UBP._trusted(f.top, tuple(new_bot))
 
 
 def diagram_inverse(f: UBP) -> UBP:
@@ -324,13 +342,13 @@ def diagram_inverse(f: UBP) -> UBP:
     This is the unique inverse-monoid partner of f: f.finv.f == f and
     finv.f.finv == finv; on permutations it is the group inverse.
     """
-    return UBP(*canonical_labels(f.bot, f.top))
+    return UBP._trusted(*canonical_labels(f.bot, f.top))
 
 
 def concat(f: UBP, g: UBP) -> UBP:
     """Place g's diagram, shifted by f.n, to the right of f's."""
     shift = max(f.top, default=-1) + 1
-    return UBP(
+    return UBP._trusted(
         f.top + tuple(label + shift for label in g.top),
         f.bot + tuple(label + shift for label in g.bot),
     )
@@ -364,17 +382,20 @@ def monoid_generators(n: int) -> list[UBP]:
 
 def closure_from_generators(n: int) -> list[UBP]:
     """Breadth-first closure of the transposition and merge generators under
-    composition; equals enumerate_ubp(n) as a set."""
+    composition; equals enumerate_ubp(n), in the same order.
+
+    A transposition s_i acts through :func:`left_compose_perm`, which swaps
+    two bottom labels; a merge goes through :func:`compose`."""
     _check_ceiling(n)
-    gens = monoid_generators(n)
+    swaps = [adjacent_transposition(n, i) for i in range(1, n)]
+    merges = [merge_generator(n, i) for i in range(1, n)]
     start = identity(n)
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
-                y = compose(g, x)
+            for y in [left_compose_perm(s, x) for s in swaps] + [compose(b, x) for b in merges]:
                 if y not in seen:
                     seen.add(y)
                     fresh.append(y)
@@ -461,8 +482,10 @@ def split_at_breaking_point(f: UBP, i: int) -> tuple[Permutation, UBP, UBP]:
     prefix = set(bot[:i])
     if not 0 <= i <= len(bot) or not prefix.isdisjoint(bot[i:]):
         raise ValueError(f"{i} is not a breaking point of {f}")
-    left = UBP(*canonical_labels([label for label in top if label in prefix], bot[:i]))
-    right = UBP(*canonical_labels([label for label in top if label not in prefix], bot[i:]))
+    left = UBP._trusted(*canonical_labels([label for label in top if label in prefix], bot[:i]))
+    right = UBP._trusted(
+        *canonical_labels([label for label in top if label not in prefix], bot[i:])
+    )
     support = [t for t, label in enumerate(top, start=1) if label in prefix]
     rest = [t for t, label in enumerate(top, start=1) if label not in prefix]
     return Permutation(tuple(support + rest)), left, right

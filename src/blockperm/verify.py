@@ -107,6 +107,11 @@ def _refuse_negative(max_n: int | None) -> None:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
 
 
+def _refuse_no_workers(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _check(suite: str, title: str, bound: int | None = None) -> Callable:
     """Register a check body in ``SUITES[suite]`` under ``title``.
 
@@ -1044,6 +1049,7 @@ def run_suite(
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
     _refuse_negative(max_n)
+    _refuse_no_workers(jobs)
     fns = SUITES[suite]
     workers = min(jobs, len(fns), os.cpu_count() or 1)
     if workers <= 1:

@@ -48,3 +48,8 @@ def test_no_per_call_limit_parameters():
         if param in LIMIT_PARAMETERS
     ]
     assert offenders == []
+
+
+def test_trusted_constructor_is_private():
+    # UniformBlockPermutation._trusted skips validation, so no module exports it.
+    assert all("_trusted" not in getattr(module, "__all__", ()) for module in [blockperm, *MODULES])

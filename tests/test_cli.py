@@ -376,6 +376,14 @@ class TestVerify:
         )
         assert (code, out, err) == (0, SCHURWEYL_N3_M2_R2, "")
 
+    def test_schurweyl_case_ignores_valid_suite_flags(self, capsys):
+        # The case has no degree bound and runs in one process.
+        code, out, err = run_cli(
+            capsys, "verify", "schurweyl", "--n", "3", "--m", "2", "--r", "2",
+            "--max-n", "0", "--jobs", "5",
+        )
+        assert (code, out, err) == (0, SCHURWEYL_N3_M2_R2, "")
+
     @pytest.mark.parametrize("suite", ["hopf", "monoid"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_lowered_ceiling_is_a_refusal(self, capsys, monkeypatch, suite, jobs):
@@ -430,6 +438,25 @@ class TestVerify:
         assert run_cli(
             capsys, "verify", "monoid", "--max-n", "-1", "--jobs", jobs
         ) == (2, "", "error: max_n must be non-negative, got -1\n")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_refused(self, capsys, jobs):
+        assert run_cli(capsys, "verify", "ncsym", "--max-n", "1", "--jobs", jobs) == (
+            2,
+            "",
+            f"error: jobs must be at least 1, got {jobs}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--max-n", "-1", "--jobs", "5"], "error: max_n must be non-negative, got -1\n"),
+            (["--jobs", "0"], "error: jobs must be at least 1, got 0\n"),
+        ],
+        ids=["negative-max-n", "no-workers"],
+    )
+    def test_schurweyl_case_refuses_what_the_suite_refuses(self, capsys, flags, err):
+        assert run_cli(capsys, "verify", "schurweyl", "--n", "2", *flags) == (2, "", err)
 
     @pytest.mark.parametrize(
         "flags, err",

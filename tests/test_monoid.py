@@ -90,7 +90,8 @@ class TestConstruction:
 
 
 class TestRowValidation:
-    """Every construction validates the rows, whatever built them."""
+    """The constructor validates the rows, and so does every path that takes
+    rows from outside the package."""
 
     @pytest.mark.parametrize(
         "top,bot,match",
@@ -126,6 +127,32 @@ class TestRowValidation:
     def test_rows_must_be_tuples(self):
         with pytest.raises(TypeError, match="tuples"):
             UniformBlockPermutation([0], [0])
+
+    # {1,2} -> {1}, {3} -> {2,3}: both rows are canonical, the blocks are not uniform
+    NON_UNIFORM = ((0, 0, 1), (0, 1, 1))
+
+    class _Tampered:
+        """Pickles as the element with the non-uniform rows above."""
+
+        def __reduce__(self):
+            return (UniformBlockPermutation, TestRowValidation.NON_UNIFORM)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: UniformBlockPermutation(*TestRowValidation.NON_UNIFORM),
+            lambda: from_labels(3, *TestRowValidation.NON_UNIFORM),
+            lambda: parse_ubp("{1,2}->{1};{3}->{2,3}"),
+            lambda: ubp_from_json(
+                {"n": 3, "blocks": [[1, 2], [3]], "images": [[1], [2, 3]], "map": [0, 1]}
+            ),
+            lambda: pickle.loads(pickle.dumps(TestRowValidation._Tampered())),
+        ],
+        ids=["constructor", "from_labels", "parse_ubp", "ubp_from_json", "unpickling"],
+    )
+    def test_outside_values_are_validated(self, build):
+        with pytest.raises(ValueError, match="non-uniform"):
+            build()
 
     def test_row_encoding(self):
         # {1,3} -> {1,2}, {2} -> {3}: top labels domain blocks, bot their images
@@ -190,10 +217,14 @@ class TestCompose:
             compose(identity(2), identity(3))
 
     def test_fast_paths_match_general_route(self):
-        for f in enumerate_ubp(3):
-            for sigma in all_permutations(3):
-                u = from_permutation(sigma)
-                assert left_compose_perm(sigma, f) == compose(u, f)
+        # Covers every transposition generator s_i, which the closure applies
+        # through left_compose_perm.
+        for n in range(5):
+            for f in enumerate_ubp(n):
+                for sigma in all_permutations(n):
+                    h = left_compose_perm(sigma, f)
+                    assert h == compose(from_permutation(sigma), f)
+                    assert revalidated(h) == h
 
     def test_relabeling_sides(self):
         for f in enumerate_ubp(3):
@@ -230,6 +261,49 @@ def diagrams(draw, n=None):
     for i, j in enumerate(draw(st.permutations(range(n)))):
         bot[j] = top[i]
     return UniformBlockPermutation(tuple(top), tuple(bot))
+
+
+def revalidated(h):
+    """h rebuilt through the public constructor, which validates its rows."""
+    return UniformBlockPermutation(h.top, h.bot)
+
+
+def arrows(f):
+    """f's (domain block, image block) pairs, in domain order."""
+    return [(dom, f.image_block(k)) for k, dom in enumerate(f.domain.blocks)]
+
+
+def standardized(blocks):
+    """Blocks renumbered 1, 2, ... in the order of their union."""
+    rank = {x: r for r, x in enumerate(sorted(x for b in blocks for x in b), start=1)}
+    return [tuple(rank[x] for x in b) for b in blocks]
+
+
+def reference_concat(f, g):
+    """f's arrows, then g's with every position raised by f.n."""
+    shifted = [
+        (tuple(x + f.n for x in dom), tuple(x + f.n for x in cod)) for dom, cod in arrows(g)
+    ]
+    return from_block_images(f.n + g.n, arrows(f) + shifted)
+
+
+def reference_split(f, i):
+    """The arrows of f whose image lies in {1..i}, and the others, each
+    standardized on both sides, and the shuffle listing the domain positions
+    of the first group, then of the second."""
+    sides = [[], []]
+    for dom, cod in arrows(f):
+        sides[cod[0] > i].append((dom, cod))
+    left, right = (
+        from_block_images(
+            sum(len(dom) for dom, _ in side),
+            zip(standardized([dom for dom, _ in side]), standardized([cod for _, cod in side])),
+        )
+        for side in sides
+    )
+    support = sorted(x for dom, _ in sides[0] for x in dom)
+    rest = sorted(x for dom, _ in sides[1] for x in dom)
+    return Permutation(tuple(support + rest)), left, right
 
 
 def partition_order(f):
@@ -322,6 +396,82 @@ class TestConcat:
         assert fg.codomain == parse_set_partition("{1,2}{3}{4}{5}")
 
 
+class TestTrustedProducers:
+    """The producers that build their result without validation, against an
+    independent route: every output must also pass the public constructor.
+    ``compose`` is covered in test_kernels.TestComposeReference and
+    ``left_compose_perm`` exhaustively in TestCompose."""
+
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.tuples(diagrams(n), st.permutations(range(1, n + 1)))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_left_compose_perm_up_to_degree_8(self, pair):
+        f, images = pair
+        sigma = Permutation(tuple(images))
+        h = left_compose_perm(sigma, f)
+        assert revalidated(h) == h
+        assert h == compose(from_permutation(sigma), f)
+
+    @staticmethod
+    def check_concat(f, g):
+        h = concat(f, g)
+        assert revalidated(h) == h
+        assert h == reference_concat(f, g)
+
+    def test_concat_exhaustive(self):
+        for n in range(5):
+            for p in range(n + 1):
+                for f, g in itertools.product(enumerate_ubp(p), enumerate_ubp(n - p)):
+                    self.check_concat(f, g)
+
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.integers(0, n).flatmap(
+                lambda p: st.tuples(diagrams(p), diagrams(n - p))
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_concat_up_to_degree_8(self, pair):
+        self.check_concat(*pair)
+
+    @staticmethod
+    def check_split(f):
+        for i in breaking_points(f):
+            xi, left, right = split_at_breaking_point(f, i)
+            assert revalidated(left) == left and revalidated(right) == right
+            assert (xi, left, right) == reference_split(f, i)
+
+    def test_split_exhaustive(self):
+        for n in range(5):
+            for f in enumerate_ubp(n):
+                self.check_split(f)
+
+    @given(diagrams())
+    @settings(max_examples=300, deadline=None)
+    def test_split_up_to_degree_8(self, f):
+        self.check_split(f)
+
+    @staticmethod
+    def check_inverse(f):
+        h = diagram_inverse(f)
+        assert revalidated(h) == h
+        assert h == from_block_images(f.n, [(cod, dom) for dom, cod in arrows(f)])
+
+    def test_diagram_inverse_exhaustive(self):
+        for n in range(5):
+            for f in enumerate_ubp(n):
+                self.check_inverse(f)
+
+    @given(diagrams())
+    @settings(max_examples=300, deadline=None)
+    def test_diagram_inverse_up_to_degree_8(self, f):
+        self.check_inverse(f)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 3), (3, 16), (4, 131)])
     def test_counts(self, n, count):
@@ -343,8 +493,11 @@ class TestEnumeration:
         }
 
     def test_closure_matches(self):
-        for n in range(5):
-            assert set(closure_from_generators(n)) == set(enumerate_ubp(n))
+        # As lists: the same elements in the same canonical order.
+        for n in range(6):
+            closure = closure_from_generators(n)
+            assert closure == enumerate_ubp(n)
+            assert all(revalidated(h) == h for h in closure)
 
     def test_sort_key_orders_as_lt(self):
         xs = enumerate_ubp(5)
