@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from itertools import chain
-from typing import Callable, Iterable, Mapping
 
 
 class LinearCombination:

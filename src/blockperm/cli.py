@@ -29,10 +29,15 @@ from blockperm.partitions import parse_set_partition
 # Largest N for which `count` runs the closed form.  It sums over every integer
 # partition of N, so it takes 4 s at N = 45, where the recursion takes 3 ms.
 FORMULA_CAP = 30
+# Largest N `count` accepts.  Its O(N^2) recursion works on big integers, so
+# it takes about 0.7 s at N = 400 and 9 s at N = 800 (one core, Python 3.11).
+RECURSION_CAP = 400
 
 
 def _count(args) -> int:
     n = args.n
+    if n > RECURSION_CAP:
+        raise ValueError(f"count is capped at N = {RECURSION_CAP}; lower N")
     ceiling = enumeration_ceiling()
     recursion = count_ubp_recursive(n)
     formula = count_ubp(n) if n <= FORMULA_CAP else None

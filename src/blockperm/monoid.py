@@ -77,13 +77,14 @@ class UniformBlockPermutation:
     and so does every path that takes rows from outside the package
     (:func:`from_labels`, the parsers, :func:`ubp_from_json`, unpickling).
     Only :meth:`_trusted` skips the check.  Its callers are the producers
-    :func:`compose`, :func:`left_compose_perm`, :func:`concat`,
-    :func:`diagram_inverse` and :func:`split_at_breaking_point`, whose rows
-    are canonical and uniform by construction from valid elements: the glue
-    kernel and ``canonical_labels`` number labels by first appearance along
-    the top row, and permuting the bottom row or shifting the labels of a
-    right-hand factor keeps both rows canonical with equal label counts.  So
-    every value in circulation is uniform.
+    :func:`compose`, :func:`left_compose_perm`, :func:`_swap_bottom`,
+    :func:`concat`, :func:`diagram_inverse` and
+    :func:`split_at_breaking_point`, whose rows are canonical and uniform by
+    construction from valid elements: the glue kernel and
+    ``canonical_labels`` number labels by first appearance along the top
+    row, and permuting the bottom row or shifting the labels of a right-hand
+    factor keeps both rows canonical with equal label counts.  So every value
+    in circulation is uniform.
 
     Elements sort as the tuple ``(domain, codomain, block_map)``, where
     ``block_map[k]`` is the index, in canonical block order of the codomain,
@@ -336,6 +337,14 @@ def left_compose_perm(sigma: Permutation, f: UBP) -> UBP:
     return UBP._trusted(f.top, tuple(new_bot))
 
 
+def _swap_bottom(f: UBP, k: int) -> UBP:
+    """compose(transposition_generator(f.n, k), f), for 1 <= k < f.n: the
+    bottom labels at positions k and k + 1 swapped."""
+    bot = list(f.bot)
+    bot[k - 1], bot[k] = bot[k], bot[k - 1]
+    return UBP._trusted(f.top, tuple(bot))
+
+
 def diagram_inverse(f: UBP) -> UBP:
     """Swap domain and codomain and invert the block bijection.
 
@@ -384,10 +393,9 @@ def closure_from_generators(n: int) -> list[UBP]:
     """Breadth-first closure of the transposition and merge generators under
     composition; equals enumerate_ubp(n), in the same order.
 
-    A transposition s_i acts through :func:`left_compose_perm`, which swaps
-    two bottom labels; a merge goes through :func:`compose`."""
+    A transposition s_i acts through :func:`_swap_bottom`, which swaps the
+    bottom labels at i and i + 1; a merge goes through :func:`compose`."""
     _check_ceiling(n)
-    swaps = [adjacent_transposition(n, i) for i in range(1, n)]
     merges = [merge_generator(n, i) for i in range(1, n)]
     start = identity(n)
     seen = {start}
@@ -395,7 +403,7 @@ def closure_from_generators(n: int) -> list[UBP]:
     while frontier:
         fresh = []
         for x in frontier:
-            for y in [left_compose_perm(s, x) for s in swaps] + [compose(b, x) for b in merges]:
+            for y in [_swap_bottom(x, i) for i in range(1, n)] + [compose(b, x) for b in merges]:
                 if y not in seen:
                     seen.add(y)
                     fresh.append(y)
@@ -557,9 +565,7 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
         bot = f.bot  # bot[k - 1] = the label of the block holding xi^{-1}(k)
         for k in range(1, a.n):
             if where[k - 1] < where[k] and bot[k - 1] != bot[k]:
-                # s_k . f swaps the bottom labels at k and k + 1
-                up = bot[: k - 1] + (bot[k], bot[k - 1]) + bot[k + 1 :]
-                covers.append((i, index[UBP(f.top, up)]))
+                covers.append((i, index[_swap_bottom(f, k)]))  # s_k . f
     covers.sort()
     return nodes, covers
 

@@ -143,6 +143,21 @@ def _check(suite: str, title: str, bound: int | None = None) -> Callable:
     return register
 
 
+def _graded(by_degree: list[list], arity: int = 2):
+    """Every ``arity``-tuple of items whose degrees (indices into
+    ``by_degree``) sum to less than ``len(by_degree)``, in the order of
+    nested loops over the degrees, then over each degree's items."""
+    for degrees in itertools.product(range(len(by_degree)), repeat=arity):
+        if sum(degrees) < len(by_degree):
+            yield from itertools.product(*(by_degree[d] for d in degrees))
+
+
+def _basis_by_degree(limit: int) -> tuple[list[list[UBP]], dict[UBP, Element]]:
+    """The diagrams of each degree n <= limit, and the basis element of each."""
+    elems = [enumerate_ubp(n) for n in range(limit + 1)]
+    return elems, {f: Element.basis(f) for fs in elems for f in fs}
+
+
 # ---------------------------------------------------------------------------
 # monoid suite
 
@@ -175,12 +190,12 @@ def check_counts_enumeration(limit: int) -> str:
 @_check("monoid", "partition counts by type match the multinomial formula", 6)
 def check_type_counts(limit: int) -> str:
     for n in range(limit + 1):
-        tally = Counter(p.type() for p in set_partitions(n))
+        parts = set_partitions(n)
+        tally = Counter(p.type() for p in parts)
         for t, observed in tally.items():
             if count_of_type(t) != observed:
                 return _fail(f"type {t.multiplicities}: formula disagrees")
-        total = sum(tally.values())
-        if total != len(set_partitions(n)):
+        if sum(tally.values()) != len(parts):
             return _fail(f"n={n}: bad total")
     return f"checked n <= {limit}"
 
@@ -233,20 +248,17 @@ def check_presentation_relations(limit: int) -> str:
 def check_inverse_monoid(limit: int) -> str:
     for n in range(limit + 1):
         elems = enumerate_ubp(n)
-        for f in elems:
-            finv = diagram_inverse(f)
+        inverse = {f: diagram_inverse(f) for f in elems}
+        for f, finv in inverse.items():
             if compose(compose(f, finv), f) != f:
                 return _fail(f"n={n}: f finv f != f for {f}")
             if compose(compose(finv, f), finv) != finv:
                 return _fail(f"n={n}: finv f finv != finv for {f}")
             if diagram_inverse(finv) != f:
                 return _fail(f"n={n}: inversion not involutive for {f}")
-        for f in elems:
-            for g in elems:
-                lhs = diagram_inverse(compose(f, g))
-                rhs = compose(diagram_inverse(g), diagram_inverse(f))
-                if lhs != rhs:
-                    return _fail(f"n={n}: (fg)~ != g~ f~ for {f}, {g}")
+        for f, g in itertools.product(elems, repeat=2):
+            if diagram_inverse(compose(f, g)) != compose(inverse[g], inverse[f]):
+                return _fail(f"n={n}: (fg)~ != g~ f~ for {f}, {g}")
         idempotents = {f for f in elems if compose(f, f) == f}
         expected = {id_of_partition(a) for a in set_partitions(n)}
         if idempotents != expected:
@@ -275,30 +287,28 @@ def check_factorization(limit: int) -> str:
 def check_meet_morphism(limit: int) -> str:
     for n in range(limit + 1):
         parts = set_partitions(n)
-        for a in parts:
-            for b in parts:
-                lhs = compose(id_of_partition(a), id_of_partition(b))
-                if lhs != id_of_partition(meet(a, b)):
-                    return _fail(f"n={n}: fails for {a}, {b}")
+        ids = {a: id_of_partition(a) for a in parts}
+        for a, b in itertools.product(parts, repeat=2):
+            if compose(ids[a], ids[b]) != id_of_partition(meet(a, b)):
+                return _fail(f"n={n}: fails for {a}, {b}")
     return f"checked n <= {limit}"
 
 
 @_check("monoid", "permutations relabel the codomain on the left, the domain on the right", 4)
 def check_relabeling_laws(limit: int) -> str:
     for n in range(limit + 1):
-        elems = enumerate_ubp(n)
+        sides = {f: (f.domain, f.codomain) for f in enumerate_ubp(n)}
         for sigma in all_permutations(n):
-            u = from_permutation(sigma)
-            for f in elems:
+            u, sigma_inv = from_permutation(sigma), sigma.inverse()
+            for f, (domain, codomain) in sides.items():
                 left = left_compose_perm(sigma, f)
                 if left != compose(u, f):
                     return _fail(f"n={n}: left fast path disagrees")
-                if left.domain != f.domain:
+                if left.domain != domain:
                     return _fail(f"n={n}: left composition moved the domain")
-                if left.codomain != partition_action(sigma, f.codomain):
+                if left.codomain != partition_action(sigma, codomain):
                     return _fail(f"n={n}: left codomain not sigma(image)")
-                right = compose(f, u)
-                if right.domain != partition_action(sigma.inverse(), f.domain):
+                if compose(f, u).domain != partition_action(sigma_inv, domain):
                     return _fail(f"n={n}: right domain not sigma^-1(domain)")
     return f"checked n <= {limit}"
 
@@ -437,24 +447,13 @@ def check_hasse_components(limit: int) -> str:
 # hopf suite
 
 
-def _basis_by_degree(limit: int) -> list[list[Element]]:
-    """basis[n] = the basis elements of degree n, for n <= limit."""
-    return [[Element.basis(f) for f in enumerate_ubp(n)] for n in range(limit + 1)]
-
-
 @_check("hopf", "product is associative", 4)
 def check_hopf_associativity(limit: int) -> str:
-    basis = _basis_by_degree(limit)
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for r in range(limit + 1 - p - q):
-                for x in basis[p]:
-                    for y in basis[q]:
-                        for z in basis[r]:
-                            lhs = hopf.product(hopf.product(x, y), z)
-                            rhs = hopf.product(x, hopf.product(y, z))
-                            if lhs != rhs:
-                                return _fail(f"fails at degrees {p},{q},{r}")
+    elems, basis = _basis_by_degree(limit)
+    for f, g, h in _graded(elems, 3):
+        x, y, z = basis[f], basis[g], basis[h]
+        if hopf.product(hopf.product(x, y), z) != hopf.product(x, hopf.product(y, z)):
+            return _fail(f"fails at degrees {f.n},{g.n},{h.n}")
     return f"total degree <= {limit}"
 
 
@@ -501,15 +500,12 @@ def check_counit_axiom(limit: int) -> str:
 
 @_check("hopf", "coproduct of a product is the product of coproducts", 4)
 def check_bialgebra_compatibility(limit: int) -> str:
-    basis = _basis_by_degree(limit)
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for x in basis[p]:
-                for y in basis[q]:
-                    lhs = hopf.coproduct(hopf.product(x, y))
-                    rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
-                    if lhs != rhs:
-                        return _fail(f"fails at degrees {p},{q}")
+    elems, basis = _basis_by_degree(limit)
+    delta = {f: hopf.coproduct(x) for f, x in basis.items()}
+    for f, g in _graded(elems):
+        lhs = hopf.coproduct(hopf.product(basis[f], basis[g]))
+        if lhs != hopf.tensor_product(delta[f], delta[g]):
+            return _fail(f"fails at degrees {f.n},{g.n}")
     return f"total degree <= {limit}"
 
 
@@ -621,28 +617,20 @@ def _word_shuffle_product(u: tuple[int, ...], v: tuple[int, ...]) -> Counter:
 
 @_check("hopf", "permutations close under product/coproduct and match word shuffles", 4)
 def check_permutation_subalgebra(limit: int) -> str:
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for sigma in all_permutations(p):
-                for tau in all_permutations(q):
-                    prod = hopf.product(
-                        Element.basis(from_permutation(sigma)),
-                        Element.basis(from_permutation(tau)),
-                    )
-                    got: Counter = Counter()
-                    for f, c in prod.terms.items():
-                        if not f.is_permutation():
-                            return _fail(f"non-permutation term in {sigma}*{tau}")
-                        got[f.to_permutation().images] += c
-                    expected = _word_shuffle_product(sigma.images, tau.images)
-                    if got != expected:
-                        return _fail(f"word-shuffle oracle disagrees at {sigma}, {tau}")
-    for n in range(limit + 1):
-        for sigma in all_permutations(n):
-            delta = hopf.coproduct(Element.basis(from_permutation(sigma)))
-            for (a, b), _ in delta.terms.items():
-                if not (a.is_permutation() and b.is_permutation()):
-                    return _fail(f"coproduct of {sigma} leaves the subalgebra")
+    perms = [all_permutations(n) for n in range(limit + 1)]
+    basis = {s: Element.basis(from_permutation(s)) for ps in perms for s in ps}
+    for sigma, tau in _graded(perms):
+        got: Counter = Counter()
+        for f, c in hopf.product(basis[sigma], basis[tau]).terms.items():
+            if not f.is_permutation():
+                return _fail(f"non-permutation term in {sigma}*{tau}")
+            got[f.to_permutation().images] += c
+        if got != _word_shuffle_product(sigma.images, tau.images):
+            return _fail(f"word-shuffle oracle disagrees at {sigma}, {tau}")
+    for sigma in itertools.chain(*perms):
+        for a, b in hopf.coproduct(basis[sigma]).terms:
+            if not (a.is_permutation() and b.is_permutation()):
+                return _fail(f"coproduct of {sigma} leaves the subalgebra")
     return f"total degree <= {limit}"
 
 
@@ -654,14 +642,14 @@ def check_permutation_subalgebra(limit: int) -> str:
 def check_pairing_basics(limit: int) -> str:
     for n in range(limit + 1):
         elems = enumerate_ubp(n)
-        for f in elems:
-            for g in elems:
-                expected = 1 if g == diagram_inverse(f) else 0
-                if hopf.pairing(Element.basis(f), Element.basis(g)) != expected:
-                    return _fail(f"fails at {f}, {g}")
-                sym = hopf.pairing(Element.basis(g), Element.basis(f))
-                if sym != expected:
-                    return _fail(f"not symmetric at {f}, {g}")
+        basis = {f: Element.basis(f) for f in elems}
+        inverse = {f: diagram_inverse(f) for f in elems}
+        for f, g in itertools.product(elems, repeat=2):
+            expected = 1 if g == inverse[f] else 0
+            if hopf.pairing(basis[f], basis[g]) != expected:
+                return _fail(f"fails at {f}, {g}")
+            if hopf.pairing(basis[g], basis[f]) != expected:
+                return _fail(f"not symmetric at {f}, {g}")
     return f"degree <= {limit}"
 
 
@@ -713,16 +701,11 @@ def _basis_roundtrip(to_basis, from_basis, limit: int) -> str:
 def _basis_product(from_basis, rule: Callable, limit: int) -> str:
     """The basis vectors of g1 and g2 multiply to the basis vector of
     rule(g1, g2)."""
-    elems = [enumerate_ubp(n) for n in range(limit + 1)]
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for g1 in elems[p]:
-                for g2 in elems[q]:
-                    lhs = hopf.product(
-                        from_basis(Element.basis(g1)), from_basis(Element.basis(g2))
-                    )
-                    if lhs != from_basis(Element.basis(rule(g1, g2))):
-                        return _fail(f"fails at {g1}, {g2}")
+    elems, basis = _basis_by_degree(limit)
+    vector = {g: from_basis(x) for g, x in basis.items()}
+    for g1, g2 in _graded(elems):
+        if hopf.product(vector[g1], vector[g2]) != from_basis(basis[rule(g1, g2)]):
+            return _fail(f"fails at {g1}, {g2}")
     return f"total degree <= {limit}"
 
 
@@ -799,22 +782,16 @@ def check_power_sum_invariance(limit: int) -> str:
 
 @_check("ncsym", "p-basis product matches word concatenation", 5)
 def check_p_product_oracle(limit: int) -> str:
-    for na in range(limit + 1):
-        for nb in range(limit + 1 - na):
-            for a in set_partitions(na):
-                for b in set_partitions(nb):
-                    prod = p_product(NCSymElement.basis(a), NCSymElement.basis(b))
-                    if prod != NCSymElement.basis(cross(a, b)):
-                        return _fail(f"fails at {a}, {b}")
-                    for k in (1, 2, 3):
-                        concat_words = Counter(
-                            wa + wb
-                            for wa in power_sum_words(a, k)
-                            for wb in power_sum_words(b, k)
-                        )
-                        direct = Counter(power_sum_words(cross(a, b), k))
-                        if concat_words != direct:
-                            return _fail(f"oracle disagrees at {a}, {b}, k={k}")
+    parts = [set_partitions(n) for n in range(limit + 1)]
+    words = {(a, k): power_sum_words(a, k) for ps in parts for a in ps for k in (1, 2, 3)}
+    for a, b in _graded(parts):
+        prod = p_product(NCSymElement.basis(a), NCSymElement.basis(b))
+        if prod != NCSymElement.basis(cross(a, b)):
+            return _fail(f"fails at {a}, {b}")
+        for k in (1, 2, 3):
+            concat_words = Counter(wa + wb for wa in words[a, k] for wb in words[b, k])
+            if concat_words != Counter(power_sum_words(cross(a, b), k)):
+                return _fail(f"oracle disagrees at {a}, {b}, k={k}")
     return f"total degree <= {limit}, alphabets <= 3"
 
 
@@ -866,30 +843,21 @@ def check_p_coproduct_display() -> str:
 
 @_check("ncsym", "the p-basis and the domain-class sums exchange product and coproduct", 4)
 def check_transport(limit: int) -> str:
-    for na in range(limit + 1):
-        for nb in range(limit + 1 - na):
-            for a in set_partitions(na):
-                for b in set_partitions(nb):
-                    lhs = hopf.product(
-                        to_element(NCSymElement.basis(a)),
-                        to_element(NCSymElement.basis(b)),
-                    )
-                    rhs = to_element(
-                        p_product(NCSymElement.basis(a), NCSymElement.basis(b))
-                    )
-                    if lhs != rhs:
-                        return _fail(f"product transport fails at {a}, {b}")
-    for n in range(limit + 1):
-        for a in set_partitions(n):
-            lhs = hopf.coproduct(to_element(NCSymElement.basis(a)))
-            rhs = TensorElement(
-                ((fl, fr), c * cl * cr)
-                for (left, right), c in p_coproduct(NCSymElement.basis(a)).terms.items()
-                for fl, cl in to_element(NCSymElement.basis(left)).terms.items()
-                for fr, cr in to_element(NCSymElement.basis(right)).terms.items()
-            )
-            if lhs != rhs:
-                return _fail(f"coproduct transport fails at {a}")
+    parts = [set_partitions(n) for n in range(limit + 1)]
+    lifted = {a: to_element(NCSymElement.basis(a)) for ps in parts for a in ps}
+    for a, b in _graded(parts):
+        rhs = to_element(p_product(NCSymElement.basis(a), NCSymElement.basis(b)))
+        if hopf.product(lifted[a], lifted[b]) != rhs:
+            return _fail(f"product transport fails at {a}, {b}")
+    for a in itertools.chain(*parts):
+        rhs = TensorElement(
+            ((fl, fr), c * cl * cr)
+            for (left, right), c in p_coproduct(NCSymElement.basis(a)).terms.items()
+            for fl, cl in lifted[left].terms.items()
+            for fr, cr in lifted[right].terms.items()
+        )
+        if hopf.coproduct(lifted[a]) != rhs:
+            return _fail(f"coproduct transport fails at {a}")
     return f"total degree <= {limit}"
 
 
@@ -1009,15 +977,12 @@ def check_span_ranks(limit: int) -> str:
 @_check("schurweyl", "tensor-algebra convolution realizes the shuffle product", 4)
 def check_convolution(limit: int) -> str:
     m = 2
-    elems = [enumerate_ubp(n) for n in range(limit + 1)]
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            for f in elems[p]:
-                for g in elems[q]:
-                    conv = schurweyl.convolution_action(f, g, m)
-                    prod = hopf.product(Element.basis(f), Element.basis(g))
-                    if conv != schurweyl.element_action_matrix(prod, m):
-                        return _fail(f"fails at {f}, {g}")
+    elems, basis = _basis_by_degree(limit)
+    for f, g in _graded(elems):
+        conv = schurweyl.convolution_action(f, g, m)
+        prod = hopf.product(basis[f], basis[g])
+        if conv != schurweyl.element_action_matrix(prod, m):
+            return _fail(f"fails at {f}, {g}")
     return f"total degree <= {limit}, m = {m}"
 
 

@@ -175,6 +175,18 @@ class TestCount:
         assert code == 0 and data["agree"] is True
         assert data["formula"] is None and data["enumeration"] is None
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refused_above_recursion_cap(self, capsys, monkeypatch, fmt):
+        from blockperm import cli
+
+        def unreachable(n):
+            raise AssertionError("the recursion ran above the cap")
+
+        monkeypatch.setattr(cli, "count_ubp_recursive", unreachable)
+        code, out, err = run_cli(capsys, "count", "100000", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: count is capped at N = {cli.RECURSION_CAP}; lower N\n"
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "count", "3", "--format", "json")
         data = json.loads(out)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blockperm.monoid import (
     EnumerationCeilingError,
     UniformBlockPermutation,
+    _swap_bottom,
     breaking_points,
     closure_from_generators,
     compose,
@@ -414,6 +415,14 @@ class TestTrustedProducers:
         h = left_compose_perm(sigma, f)
         assert revalidated(h) == h
         assert h == compose(from_permutation(sigma), f)
+
+    def test_swap_bottom_exhaustive(self):
+        for n in range(5):
+            for f in enumerate_ubp(n):
+                for k in range(1, n):
+                    h = _swap_bottom(f, k)
+                    assert revalidated(h) == h
+                    assert h == compose(transposition_generator(n, k), f)
 
     @staticmethod
     def check_concat(f, g):

@@ -11,6 +11,8 @@ from blockperm import hopf, schurweyl, verify
 from blockperm.hopf import Element, TensorElement
 from blockperm.monoid import (
     EnumerationCeilingError,
+    diagram_inverse,
+    enumerate_ubp,
     identity,
     merge_generator,
     transposition_generator,
@@ -108,6 +110,70 @@ def test_extra_killed_word_is_caught(monkeypatch):
     check = verify.check_commutation()
     assert check.passed is False
     assert check.detail == "fails at (n,m,r)=(2,2,1)"
+
+
+def nested_loops(by_degree, arity):
+    """The case order of the graded batteries, written as explicit loops."""
+    limit = len(by_degree) - 1
+    cases = []
+    for p in range(limit + 1):
+        for q in range(limit + 1 - p):
+            if arity == 2:
+                cases += [(x, y) for x in by_degree[p] for y in by_degree[q]]
+            else:
+                for r in range(limit + 1 - p - q):
+                    cases += [
+                        (x, y, z)
+                        for x in by_degree[p]
+                        for y in by_degree[q]
+                        for z in by_degree[r]
+                    ]
+    return cases
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("limit", range(5))
+def test_graded_matches_nested_loops(limit, arity):
+    # Degree d has d + 1 items (two at degree 0), so the order is visible.
+    by_degree = [[(d, i) for i in range(max(d + 1, 2))] for d in range(limit + 1)]
+    assert list(verify._graded(by_degree, arity)) == nested_loops(by_degree, arity)
+
+
+def test_wrong_inverse_is_caught(monkeypatch):
+    s1 = transposition_generator(3, 1)
+    monkeypatch.setattr(
+        verify, "diagram_inverse", lambda f: identity(3) if f == s1 else diagram_inverse(f)
+    )
+    check = verify.check_inverse_monoid(3)
+    assert check.passed is False
+    assert check.detail.startswith("n=3: ")
+
+
+def test_asymmetric_pairing_is_caught(monkeypatch):
+    e0, e1 = (Element.basis(f) for f in enumerate_ubp(2)[:2])
+    pairing = hopf.pairing
+    monkeypatch.setattr(
+        hopf, "pairing", lambda x, y: pairing(x, y) + ((x, y) == (e1, e0))
+    )
+    check = verify.check_pairing_basics(2)
+    assert check.passed is False
+    assert check.detail.startswith("not symmetric at ")
+
+
+def test_dropped_product_term_is_caught(monkeypatch):
+    product = hopf.product
+
+    def lossy(x, y):
+        xy = product(x, y)
+        if (x.degrees(), y.degrees()) != ({2}, {1}):
+            return xy
+        key = min(xy.terms)
+        return xy - Element.basis(key, xy.coeff(key))
+
+    monkeypatch.setattr(hopf, "product", lossy)
+    assert verify.check_hopf_associativity(3).passed is False
+    assert verify.check_bialgebra_compatibility(3).passed is False
+    assert verify.check_convolution(3).passed is False
 
 
 def test_every_check_is_registered_in_exactly_one_suite():
