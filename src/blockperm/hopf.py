@@ -31,6 +31,7 @@ from blockperm.monoid import (
     id_of_partition,
     identity,
     left_compose_perm,
+    masked_component,
     parse_ubp,
     shuffle_mask,
     split_at_breaking_point,
@@ -194,13 +195,13 @@ def right_action(x: Element, h: UBP) -> Element:
 def _expand(coords: Element, below: bool) -> Element:
     """Each key g adds its coefficient to every f of its component (the
     diagrams with g's domain partition) with f <= g if ``below``, else
-    g <= f.  Each component is enumerated once, with one mask per diagram."""
-    by_domain: dict[SetPartition, list[tuple[UBP, int]]] = {}
+    g <= f.  Keys are grouped by their top row, which names the domain."""
+    by_top: dict[tuple[int, ...], list[tuple[UBP, int]]] = {}
     for g, c in coords.terms.items():
-        by_domain.setdefault(g.domain, []).append((g, c))
+        by_top.setdefault(g.top, []).append((g, c))
     pairs = []
-    for a, keys in by_domain.items():
-        component = [(shuffle_mask(f), f) for f in elements_with_domain(a)]
+    for keys in by_top.values():
+        component = masked_component(keys[0][0].domain)
         for g, c in keys:
             m_g = shuffle_mask(g)
             pairs.extend(
@@ -215,9 +216,9 @@ def _back_substitute(x: Element, below: bool) -> Element:
     function is assumed.  Decreasing inversion count (a stable sort of the
     canonical order) is a linear extension of the reversed weak order."""
     pairs = []
-    for a in sorted({f.domain for f in x.terms}):
-        component = [(shuffle_mask(f), f) for f in elements_with_domain(a)]
-        component.sort(key=lambda node: -node[0].bit_count())
+    one_per_top = {f.top: f for f in x.terms}
+    for a in sorted(f.domain for f in one_per_top.values()):
+        component = sorted(masked_component(a), key=lambda node: -node[0].bit_count())
         solved: list[tuple[int, UBP, int]] = []
         for m_g, g in component if below else reversed(component):
             c = x.coeff(g) - sum(

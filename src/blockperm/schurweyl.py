@@ -287,16 +287,25 @@ def commutation_pairs(n: int, m: int, r: int) -> Iterator[tuple[int, int, bool]]
     _check_dim(m, n)
     if r < 1:  # checked here too: below degree 2 no group map is built
         raise ValueError("r must be at least 1")
+    diagrams, groups = _commutation_maps(n, m)
+    for i, a in enumerate(diagrams):
+        for j, (b, e) in enumerate(groups):
+            yield i, j, _commutes(a, b, e, r)
+
+
+def _commutation_maps(
+    n: int, m: int
+) -> tuple[list[list[int]], list[tuple[list[int], list[int]]]]:
+    """The word maps of the monoid generators and of the group generators on
+    the degree-n tensor space, which do not depend on the root order; no
+    group map is built when there is no monoid generator.  The caller checks
+    the dimension."""
     if n < 0:
         raise ValueError("n must be non-negative")
     words = tensor_words(m, n)
     diagrams = [_diagram_targets(f, words, m) for f in monoid_generators(n)]
-    if not diagrams:
-        return
-    groups = [_group_map(g, words, m) for g in group_generators(m)]
-    for i, a in enumerate(diagrams):
-        for j, (b, e) in enumerate(groups):
-            yield i, j, _commutes(a, b, e, r)
+    groups = [_group_map(g, words, m) for g in group_generators(m)] if diagrams else []
+    return diagrams, groups
 
 
 def _commutes(a: list[int], b: list[int], e: list[int], r: int) -> bool:

@@ -35,17 +35,22 @@ from blockperm.monoid import (
     from_permutation,
     id_of_partition,
     identity,
+    left_compose_perm,
     merge_generator,
     parse_ubp,
     split_at_breaking_point,
     transposition_generator,
 )
-from blockperm.partitions import parse_set_partition, set_partitions
+from blockperm.partitions import block_shuffles, parse_set_partition, set_partitions
 from blockperm.perms import Permutation, all_permutations
 
 
 def basis(f):
     return Element.basis(f)
+
+
+def ones(fs):
+    return Element((f, 1) for f in fs)
 
 
 def f_pair():
@@ -336,6 +341,34 @@ class TestBases:
                 if n < 5:
                     assert from_lower_basis(to_lower_basis(e)) == e
                     assert from_upper_basis(to_upper_basis(e)) == e
+
+    def test_basis_changes_match_rebuilt_components(self):
+        # Each component rebuilt here from its block shuffles, ordered by
+        # containment of the shuffles' inversion sets, without any cache.
+        for n in range(6):
+            coords, downs, ups = [], [], []  # one element across all components
+            for a in set_partitions(n):
+                ida = id_of_partition(a)
+                nodes = []
+                for xi in block_shuffles(a):
+                    w = xi.images
+                    inv = {(i, j) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]}
+                    nodes.append((left_compose_perm(xi, ida), inv))
+                for k, (g, inv_g) in enumerate(nodes):
+                    down = [f for f, inv_f in nodes if inv_f <= inv_g]
+                    up = [f for f, inv_f in nodes if inv_g <= inv_f]
+                    e = basis(g)
+                    assert from_lower_basis(e) == ones(down), str(g)
+                    assert from_upper_basis(e) == ones(up), str(g)
+                    assert to_lower_basis(ones(down)) == e, str(g)
+                    assert to_upper_basis(ones(up)) == e, str(g)
+                    c = k % 3 - 1
+                    coords.append((g, c))
+                    downs.extend((f, c) for f in down)
+                    ups.extend((f, c) for f in up)
+            coords, down, up = Element(coords), Element(downs), Element(ups)
+            assert from_lower_basis(coords) == down and to_lower_basis(down) == coords
+            assert from_upper_basis(coords) == up and to_upper_basis(up) == coords
 
     def test_lower_product_degree_one(self):
         id1 = identity(1)

@@ -25,6 +25,7 @@ from blockperm.monoid import (
     id_of_partition,
     identity,
     left_compose_perm,
+    masked_component,
     merge_generator,
     parse_ubp,
     shuffle_factorization,
@@ -690,6 +691,23 @@ class TestWeakOrder:
             for a in set_partitions(n):
                 expected = sorted(f for f in closure if f.domain == a)
                 assert elements_with_domain(a) == expected, str(a)
+
+    def test_cached_component_still_refused_above_ceiling(self, monkeypatch):
+        a = parse_set_partition("{1,2}{3}")
+        assert len(elements_with_domain(a)) == 3
+        monkeypatch.setenv("BLOCKPERM_CEILING", "2")
+        with pytest.raises(EnumerationCeilingError):
+            elements_with_domain(a)
+        with pytest.raises(EnumerationCeilingError):
+            masked_component(a)
+
+    def test_returned_component_is_a_fresh_list(self):
+        a = parse_set_partition("{1,3}{2}")
+        first = elements_with_domain(a)
+        expected = list(first)
+        first.reverse()
+        first.append(identity(3))
+        assert elements_with_domain(a) == expected
 
 
 class TestText:

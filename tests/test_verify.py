@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from blockperm import hopf, schurweyl, verify
+from blockperm import hopf, monoid, schurweyl, verify
 from blockperm.hopf import Element, TensorElement
 from blockperm.monoid import (
     EnumerationCeilingError,
@@ -223,6 +223,28 @@ def test_negative_bound_is_refused(check):
         verify.run_check(check, -1)
     with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
         verify.run_suite("monoid", max_n=-1)
+
+
+def test_missing_partition_type_is_caught_by_the_total(monkeypatch):
+    # Without the one-block partition its type never occurs, so the per-type
+    # loop has nothing to compare; only the Bell-number total sees the gap.
+    set_partitions = verify.set_partitions
+
+    def without_one_block(n):
+        return [p for p in set_partitions(n) if n == 0 or p.num_blocks > 1]
+
+    monkeypatch.setattr(verify, "set_partitions", without_one_block)
+    check = verify.check_type_counts(4)
+    assert check.passed is False
+    assert check.detail == "n=1: bad total"
+
+
+def test_verify_all_builds_each_component_once():
+    monoid._component.cache_clear()
+    assert all(check.passed for check in verify.run_suite("all", max_n=4))
+    info = monoid._component.cache_info()
+    assert info.currsize == 24  # the partitions of degree <= 4
+    assert info.misses == 24
 
 
 def test_signature_is_the_call_not_the_body():
