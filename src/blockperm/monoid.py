@@ -38,6 +38,7 @@ from blockperm.partitions import (
 from blockperm.perms import Permutation, _inversion_mask, adjacent_transposition
 
 DEFAULT_CEILING = 6
+_INT = frozenset((int,))
 
 
 class EnumerationCeilingError(RuntimeError):
@@ -100,7 +101,11 @@ class UniformBlockPermutation:
         if type(top) is not tuple or type(bot) is not tuple:
             raise TypeError("label rows must be tuples")
         labels = list(dict.fromkeys(top))
-        if labels != list(range(len(labels))) or sorted(top) != sorted(bot):
+        if (
+            not _INT.issuperset(map(type, top + bot))  # 1.0 and True equal 1
+            or labels != list(range(len(labels)))
+            or sorted(top) != sorted(bot)
+        ):
             _reject(top, bot)
 
     @classmethod
@@ -206,6 +211,10 @@ def _reject(top: tuple, bot: tuple) -> None:
     quick check in ``UniformBlockPermutation.__post_init__``."""
     if len(top) != len(bot):
         raise ValueError(f"label rows of unequal length: top {top!r}, bottom {bot!r}")
+    for side, row in (("top", top), ("bottom", bot)):
+        for label in row:
+            if type(label) is not int:
+                raise ValueError(f"{side} label {label!r} in {row!r} is not an int")
     excess: dict = {}
     for label in top:
         if label not in excess and label != len(excess):
@@ -224,25 +233,6 @@ def _reject(top: tuple, bot: tuple) -> None:
             cod = tuple(j for j, x in enumerate(bot, start=1) if x == label)
             raise ValueError(f"non-uniform: block {dom} maps to {cod}")
     raise ValueError(f"invalid label rows {top!r}, {bot!r}")
-
-
-def _from_partitions(
-    domain: SetPartition, codomain: SetPartition, block_map: Sequence[int]
-) -> UBP:
-    """The element sending the k-th domain block onto codomain block
-    ``block_map[k]``."""
-    if len(block_map) != domain.num_blocks or sorted(block_map) != list(
-        range(codomain.num_blocks)
-    ):
-        raise ValueError(
-            f"block map {tuple(block_map)!r} is not a bijection from "
-            f"{domain.num_blocks} domain blocks onto {codomain.num_blocks}"
-        )
-    bot = [0] * codomain.n
-    for label, j in enumerate(block_map):
-        for pos in codomain.blocks[j]:
-            bot[pos - 1] = label
-    return UBP(domain.position_labels(), tuple(bot))
 
 
 def from_block_images(n: int, arrows: Iterable[tuple[Iterable[int], Iterable[int]]]) -> UBP:
@@ -634,6 +624,30 @@ def ubp_to_json(f: UBP) -> dict:
 
 
 def ubp_from_json(data: dict) -> UBP:
-    domain = SetPartition.from_blocks(data["n"], data["blocks"])
-    codomain = SetPartition.from_blocks(data["n"], data["images"])
-    return _from_partitions(domain, codomain, data["map"])
+    """Inverse of :func:`ubp_to_json`.  Every number must be an int: JSON
+    reads 1.0 as a float and true as a bool, and both are refused."""
+    n, block_map = data["n"], data["map"]
+    for key, values in (
+        ("n", [n]),
+        ("blocks", [i for block in data["blocks"] for i in block]),
+        ("images", [i for block in data["images"] for i in block]),
+        ("map", block_map),
+    ):
+        for value in values:
+            if type(value) is not int:
+                raise ValueError(f"{key!r} holds {value!r}, which is not an int")
+    domain = SetPartition.from_blocks(n, data["blocks"])
+    codomain = SetPartition.from_blocks(n, data["images"])
+    if len(block_map) != domain.num_blocks or sorted(block_map) != list(
+        range(codomain.num_blocks)
+    ):
+        raise ValueError(
+            f"block map {tuple(block_map)!r} is not a bijection from "
+            f"{domain.num_blocks} domain blocks onto {codomain.num_blocks}"
+        )
+    # The k-th domain block goes onto codomain block block_map[k].
+    bot = [0] * n
+    for label, j in enumerate(block_map):
+        for pos in codomain.blocks[j]:
+            bot[pos - 1] = label
+    return UBP(domain.position_labels(), tuple(bot))

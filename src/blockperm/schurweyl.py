@@ -12,9 +12,9 @@ every identity checked here is exact and implies the corresponding complex
 statement.  Both actions are monomial: a diagram sends each word to one word
 or kills it, and a group element sends each word to one word times a power
 of the root.  Commutation compares these maps directly, word targets and
-root exponents mod r.  ``ActionMatrix`` is their rendered form, stored
-sparsely (row -> column -> scalar), for the checks that multiply or add
-action matrices; a single-diagram matrix has at most one entry per row.
+root exponents mod r; products and sums of diagrams are formed on the maps
+too.  ``ActionMatrix`` is only the rendered output, stored sparsely (row ->
+column -> scalar); a single-diagram matrix has at most one entry per row.
 """
 
 from __future__ import annotations
@@ -211,6 +211,12 @@ def _diagram_targets(f: UBP, words: Sequence[tuple[int, ...]], m: int) -> list[i
     ]
 
 
+def _map_product(a: list[int], b: list[int]) -> list[int]:
+    """Word map of the matrix product A @ B: row k goes to b[a[k]], or is
+    killed (-1) where either map kills it."""
+    return [-1 if j < 0 else b[j] for j in a]
+
+
 def ubp_action_matrix(f: UBP, m: int) -> ActionMatrix:
     """Matrix of the right action on words; at most one entry per row."""
     dim = _check_dim(m, f.n)
@@ -223,13 +229,14 @@ def ubp_action_matrix(f: UBP, m: int) -> ActionMatrix:
 def element_action_matrix(x: Element, m: int) -> ActionMatrix:
     """Action matrix of a linear combination of diagrams of equal degree."""
     dim = _check_dim(m, x.degree())
+    words = tensor_words(m, x.degree())
     rows: dict[int, dict[int, object]] = {}
     for f, c in x.terms.items():
-        for i, row in ubp_action_matrix(f, m).rows.items():
-            acc = rows.setdefault(i, {})
-            for j, v in row.items():
-                acc[j] = acc.get(j, 0) + c * v
-    return ActionMatrix(dim, rows)
+        for i, j in enumerate(_diagram_targets(f, words, m)):
+            if j >= 0:
+                acc = rows.setdefault(i, {})
+                acc[j] = acc.get(j, 0) + c
+    return ActionMatrix(dim, rows)  # drops the entries that cancel to 0
 
 
 def _group_map(
@@ -366,13 +373,11 @@ def action_span_rank(n: int, m: int) -> int:
     injectivity half of the centralizer statement); below that threshold the
     rank may drop and is only reported."""
     dim = _check_dim(m, n)
-    vectors = []
-    for f in enumerate_ubp(n):
-        mat = ubp_action_matrix(f, m)
-        vectors.append(
-            {i * dim + j: v for i, row in mat.rows.items() for j, v in row.items()}
-        )
-    return exact_sparse_rank(vectors)
+    words = tensor_words(m, n)
+    return exact_sparse_rank(
+        {i * dim + j: 1 for i, j in enumerate(_diagram_targets(f, words, m)) if j >= 0}
+        for f in enumerate_ubp(n)
+    )
 
 
 def convolution_action(f: UBP, g: UBP, m: int) -> ActionMatrix:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
 import random
 from collections import Counter
@@ -896,14 +895,13 @@ def check_action_orientation(limit: int) -> str:
     saw_noncommuting = False
     for n in range(limit + 1):
         for m in (2, 3):
-            mats = {
-                f: schurweyl.ubp_action_matrix(f, m) for f in enumerate_ubp(n)
-            }
-            for f, g in itertools.product(mats, repeat=2):
-                lhs = mats[g] @ mats[f]
-                if schurweyl.ubp_action_matrix(compose(g, f), m) != lhs:
+            words = schurweyl.tensor_words(m, n)
+            maps = {f: schurweyl._diagram_targets(f, words, m) for f in enumerate_ubp(n)}
+            for f, g in itertools.product(maps, repeat=2):
+                lhs = schurweyl._map_product(maps[g], maps[f])
+                if schurweyl._diagram_targets(compose(g, f), words, m) != lhs:
                     return _fail(f"pinned orientation fails at n={n}, m={m}")
-                if lhs != mats[f] @ mats[g]:
+                if lhs != schurweyl._map_product(maps[f], maps[g]):
                     saw_noncommuting = True
     if limit >= 3 and not saw_noncommuting:
         # below degree 3 all the matrices commute, so no witness can exist
@@ -915,16 +913,13 @@ def check_action_orientation(limit: int) -> str:
 def check_generator_matrix_relations(limit: int) -> str:
     for n in range(2, limit + 1):
         for m in (2, 3):
-            s = {
-                i: schurweyl.ubp_action_matrix(transposition_generator(n, i), m)
-                for i in range(1, n)
-            }
-            b = {
-                i: schurweyl.ubp_action_matrix(merge_generator(n, i), m)
-                for i in range(1, n)
-            }
-            eye = schurweyl.ActionMatrix.identity(m**n)
-            failure = _relation_failure(n, s, b, eye, operator.matmul)
+            words = schurweyl.tensor_words(m, n)
+            s, b = (
+                {i: schurweyl._diagram_targets(gen(n, i), words, m) for i in range(1, n)}
+                for gen in (transposition_generator, merge_generator)
+            )
+            one = list(range(len(words)))
+            failure = _relation_failure(n, s, b, one, schurweyl._map_product)
             if failure:
                 return _fail(f"n={n}, m={m}: {failure}")
     return f"checked n <= {limit}, m <= 3"
@@ -934,25 +929,25 @@ def check_generator_matrix_relations(limit: int) -> str:
 def check_generator_factorization_route(limit: int) -> str:
     for n in range(limit + 1):
         for m in (2, 3):
+            words = schurweyl.tensor_words(m, n)
             gens = schurweyl.monoid_generators(n)
-            gen_mats = [schurweyl.ubp_action_matrix(g, m) for g in gens]
-            words: dict[UBP, tuple[int, ...]] = {identity(n): ()}
+            gen_maps = [schurweyl._diagram_targets(g, words, m) for g in gens]
+            routes: dict[UBP, tuple[int, ...]] = {identity(n): ()}
             frontier = [identity(n)]
             while frontier:
                 fresh = []
                 for x in frontier:
                     for gi, g in enumerate(gens):
                         y = compose(g, x)
-                        if y not in words:
-                            words[y] = words[x] + (gi,)
+                        if y not in routes:
+                            routes[y] = routes[x] + (gi,)
                             fresh.append(y)
                 frontier = fresh
-            dim = m**n
-            for f, word in words.items():
-                mat = schurweyl.ActionMatrix.identity(dim)
-                for gi in word:
-                    mat = gen_mats[gi] @ mat
-                if mat != schurweyl.ubp_action_matrix(f, m):
+            for f, route in routes.items():
+                action = list(range(len(words)))
+                for gi in route:
+                    action = schurweyl._map_product(gen_maps[gi], action)
+                if action != schurweyl._diagram_targets(f, words, m):
                     return _fail(f"routes disagree for {f} at m={m}")
     return f"checked n <= {limit}, m <= 3"
 

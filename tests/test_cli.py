@@ -235,6 +235,7 @@ class TestOp:
         [
             ("product", "{1}->{1}", "{1,2,3,4,5,6,7}->{1,2,3,4,5,6,7}"),
             ("antipode", "1*{1}->{1} + 1*{1,2,3,4,5,6,7}->{1,2,3,4,5,6,7}"),
+            ("coproduct", "1*{1}->{1} + 1*{1,2,3,4,5,6,7}->{1,2,3,4,5,6,7}"),
         ],
     )
     def test_operand_above_ceiling_refused(self, capsys, monkeypatch, argv):
@@ -244,6 +245,37 @@ class TestOp:
         assert err.startswith("error: refusing to enumerate at n=7: ceiling is 6")
         code, out, _ = run_cli(capsys, "--ceiling", "7", "op", *argv)
         assert code == 0 and out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refused_above_product_term_cap(self, capsys, monkeypatch, fmt):
+        from blockperm import cli, hopf
+        from blockperm.monoid import enumerate_ubp
+
+        def unreachable(x, y):
+            raise AssertionError("the product ran above the cap")
+
+        monkeypatch.setattr(hopf, "product", unreachable)
+        # 131 * 131 pairs of degree-4 terms, C(8, 4) = 70 terms each
+        x = " + ".join(f"1*{f}" for f in enumerate_ubp(4))
+        code, out, err = run_cli(capsys, "op", "product", x, x, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: product would generate 1201270 terms (cap {cli.PRODUCT_TERM_CAP}); "
+            "split the operands\n"
+        )
+
+    def test_product_term_count_sums_over_degree_pairs(self, capsys, monkeypatch):
+        from blockperm import cli
+
+        # C(2, 1) + C(3, 2) = 5 terms
+        argv = ("op", "product", "1*{1}->{1} + 1*{1,2}->{1,2}", "{1}->{1}")
+        monkeypatch.setattr(cli, "PRODUCT_TERM_CAP", 5)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        monkeypatch.setattr(cli, "PRODUCT_TERM_CAP", 4)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: product would generate 5 terms (cap 4)")
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "op", "antipode", "{1}->")

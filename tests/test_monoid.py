@@ -91,6 +91,29 @@ class TestConstruction:
         assert parse_ubp(str(f)) == f
 
 
+# {1,2} -> {1}, {3} -> {2,3}: both rows are canonical, the blocks are not uniform
+NON_UNIFORM = ((0, 0, 1), (0, 1, 1))
+
+
+class _Tampered:
+    """Pickles as the element with the given rows."""
+
+    def __init__(self, top, bot):
+        self.rows = (top, bot)
+
+    def __reduce__(self):
+        return (UniformBlockPermutation, self.rows)
+
+
+def unpickled(top, bot):
+    return pickle.loads(pickle.dumps(_Tampered(top, bot)))
+
+
+def swap_json(**fields):
+    """The JSON form of {1}->{2};{2}->{1} with some fields replaced."""
+    return {"n": 2, "blocks": [[1], [2]], "images": [[1], [2]], "map": [1, 0]} | fields
+
+
 class TestRowValidation:
     """The constructor validates the rows, and so does every path that takes
     rows from outside the package."""
@@ -130,30 +153,55 @@ class TestRowValidation:
         with pytest.raises(TypeError, match="tuples"):
             UniformBlockPermutation([0], [0])
 
-    # {1,2} -> {1}, {3} -> {2,3}: both rows are canonical, the blocks are not uniform
-    NON_UNIFORM = ((0, 0, 1), (0, 1, 1))
-
-    class _Tampered:
-        """Pickles as the element with the non-uniform rows above."""
-
-        def __reduce__(self):
-            return (UniformBlockPermutation, TestRowValidation.NON_UNIFORM)
-
+    # Floats and bools compare equal to the int labels they stand for.
     @pytest.mark.parametrize(
-        "build",
+        "build, match",
         [
-            lambda: UniformBlockPermutation(*TestRowValidation.NON_UNIFORM),
-            lambda: from_labels(3, *TestRowValidation.NON_UNIFORM),
-            lambda: parse_ubp("{1,2}->{1};{3}->{2,3}"),
-            lambda: ubp_from_json(
-                {"n": 3, "blocks": [[1, 2], [3]], "images": [[1], [2, 3]], "map": [0, 1]}
+            (lambda: UniformBlockPermutation(*NON_UNIFORM), "non-uniform"),
+            (lambda: from_labels(3, *NON_UNIFORM), "non-uniform"),
+            (lambda: parse_ubp("{1,2}->{1};{3}->{2,3}"), "non-uniform"),
+            (
+                lambda: ubp_from_json(
+                    {"n": 3, "blocks": [[1, 2], [3]], "images": [[1], [2, 3]], "map": [0, 1]}
+                ),
+                "non-uniform",
             ),
-            lambda: pickle.loads(pickle.dumps(TestRowValidation._Tampered())),
+            (lambda: unpickled(*NON_UNIFORM), "non-uniform"),
+            (lambda: UniformBlockPermutation((0, 1), (1.0, 0)), "bottom label 1.0"),
+            (lambda: UniformBlockPermutation((0, True), (True, 0)), "top label True"),
+            (lambda: from_labels(2, [0.0, 1.0], [1.0, 0.0]), "top label 0.0"),
+            (lambda: from_labels(2, [0, 1], [True, False]), "bottom label True"),
+            (lambda: ubp_from_json(swap_json(blocks=[[1.0], [2]])), "'blocks' holds 1.0"),
+            (lambda: ubp_from_json(swap_json(images=[[1], [True, 2]])), "'images' holds True"),
+            (lambda: ubp_from_json(swap_json(map=[1.0, 0])), "'map' holds 1.0"),
+            (lambda: ubp_from_json(swap_json(map=[True, False])), "'map' holds True"),
+            (lambda: ubp_from_json(swap_json(n=2.0)), "'n' holds 2.0"),
+            (lambda: ubp_from_json(swap_json(n=True)), "'n' holds True"),
+            (lambda: unpickled((0, 1), (1, 0.0)), "bottom label 0.0"),
+            (lambda: unpickled((False,), (0,)), "top label False"),
         ],
-        ids=["constructor", "from_labels", "parse_ubp", "ubp_from_json", "unpickling"],
+        ids=[
+            "constructor",
+            "from_labels",
+            "parse_ubp",
+            "ubp_from_json",
+            "unpickling",
+            "constructor-float",
+            "constructor-bool",
+            "from_labels-float",
+            "from_labels-bool",
+            "ubp_from_json-float-block",
+            "ubp_from_json-bool-image",
+            "ubp_from_json-float-map",
+            "ubp_from_json-bool-map",
+            "ubp_from_json-float-n",
+            "ubp_from_json-bool-n",
+            "unpickling-float",
+            "unpickling-bool",
+        ],
     )
-    def test_outside_values_are_validated(self, build):
-        with pytest.raises(ValueError, match="non-uniform"):
+    def test_outside_values_are_validated(self, build, match):
+        with pytest.raises(ValueError, match=match):
             build()
 
     def test_row_encoding(self):

@@ -101,6 +101,21 @@ class TestActionMatrices:
                 mismatch = True
         assert mismatch
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_map_product_matches_matrix_product(self, m):
+        # Rendered maps multiply as matrices, killed rows included; the
+        # matrix product is the reference.
+        for n in range(4):
+            words = tensor_words(m, n)
+            maps = {f: schurweyl._diagram_targets(f, words, m) for f in enumerate_ubp(n)}
+            mats = {f: ubp_action_matrix(f, m) for f in maps}
+            for f, g in itertools.product(maps, repeat=2):
+                composed = schurweyl._map_product(maps[f], maps[g])
+                rendered = ActionMatrix(
+                    m**n, {i: {j: 1} for i, j in enumerate(composed) if j >= 0}
+                )
+                assert rendered == mats[f] @ mats[g]
+
     def test_generator_word_route_agrees(self):
         gens = monoid_generators(3)
         gen_mats = [ubp_action_matrix(g, 2) for g in gens]
@@ -287,6 +302,16 @@ class TestConvolution:
         conv = convolution_action(b1, s1, 2)
         prod = product(Element.basis(b1), Element.basis(s1))
         assert conv == element_action_matrix(prod, 2)
+
+    def test_cancelling_terms_leave_no_entries(self):
+        # b_1 and s_1 both fix the words (1, 1) and (2, 2); only s_1 moves
+        # (1, 2) and (2, 1), which b_1 kills.
+        x = Element.basis(merge_generator(2, 1)) - Element.basis(
+            transposition_generator(2, 1)
+        )
+        mat = element_action_matrix(x, 2)
+        assert mat.entries() == [(1, 2, -1), (2, 1, -1)]
+        assert sorted(mat.rows) == [1, 2]
 
     def test_matches_product_up_to_degree_three(self):
         for p in range(3):

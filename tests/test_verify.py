@@ -63,15 +63,45 @@ def test_broken_absorption_is_caught_on_diagrams(monkeypatch):
 def test_broken_absorption_is_caught_on_matrices(monkeypatch):
     # b_1 acting as the identity keeps b_1^2 = b_1 but breaks b_1 s_1 = b_1.
     b1 = merge_generator(2, 1)
-    action = schurweyl.ubp_action_matrix
+    targets = schurweyl._diagram_targets
     monkeypatch.setattr(
         schurweyl,
-        "ubp_action_matrix",
-        lambda f, m: schurweyl.ActionMatrix.identity(m**f.n) if f == b1 else action(f, m),
+        "_diagram_targets",
+        lambda f, words, m: list(range(len(words))) if f == b1 else targets(f, words, m),
     )
     check = verify.check_generator_matrix_relations(2)
     assert check.passed is False
     assert check.detail == "n=2, m=2: b_1 s_1 = s_1 b_1 = b_1 fails"
+
+
+def test_swapped_map_product_is_caught(monkeypatch):
+    # Degree 2 is commutative; the first witness is at degree 3.
+    map_product = schurweyl._map_product
+    monkeypatch.setattr(schurweyl, "_map_product", lambda a, b: map_product(b, a))
+    assert verify.check_action_orientation(2).passed is True
+    check = verify.check_action_orientation(3)
+    assert check.passed is False
+    assert check.detail == "pinned orientation fails at n=3, m=2"
+
+
+def test_generator_map_killing_an_extra_word_is_caught(monkeypatch):
+    # b_1 of degree 3 keeps the word (1, 1, 1), index 0.  Killing it there
+    # leaves b_1's own one-letter route intact and breaks longer routes
+    # through b_1 that keep the word.
+    b1 = merge_generator(3, 1)
+    targets = schurweyl._diagram_targets
+
+    def lossy(f, words, m):
+        out = targets(f, words, m)
+        if f == b1:
+            assert out[0] == 0
+            out[0] = -1
+        return out
+
+    monkeypatch.setattr(schurweyl, "_diagram_targets", lossy)
+    check = verify.check_generator_factorization_route(3)
+    assert check.passed is False
+    assert check.detail == "routes disagree for {1,3}->{1,2};{2}->{3} at m=2"
 
 
 def test_wrong_root_exponent_is_caught_mod_r(monkeypatch):
