@@ -20,6 +20,8 @@ from typing import Iterable
 
 from blockperm.perms import Permutation
 
+_INT = frozenset((int,))
+
 
 @dataclass(frozen=True, order=True)
 class SetPartition:
@@ -38,10 +40,11 @@ class SetPartition:
         """
         blocks = []
         for raw in raw_blocks:
-            block = tuple(sorted(raw))
+            block = tuple(raw)
             if not block:
                 raise ValueError("empty block")
-            blocks.append(block)
+            _require_ints(block)  # before sorting: "a" and 1 do not compare
+            blocks.append(tuple(sorted(block)))
         blocks.sort(key=lambda b: b[0])
         return SetPartition(n, tuple(blocks))
 
@@ -69,12 +72,21 @@ class SetPartition:
         return "".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
 
 
+def _require_ints(block: tuple) -> None:
+    """Raise ValueError naming the first element of the block that is not an
+    int; 1.0 and True compare and hash equal to 1, so both are refused."""
+    if not _INT.issuperset(map(type, block)):
+        bad = next(i for i in block if type(i) is not int)
+        raise ValueError(f"element {bad!r} in block {block!r} is not an int")
+
+
 def _validate_blocks(n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
     seen: set[int] = set()
     prev_min = 0
     for block in blocks:
         if not block:
             raise ValueError("empty block")
+        _require_ints(block)
         if any(block[t] >= block[t + 1] for t in range(len(block) - 1)):
             raise ValueError(f"block {block} not strictly increasing")
         if block[0] <= prev_min:

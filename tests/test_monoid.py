@@ -1,14 +1,20 @@
+import importlib
 import itertools
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockperm import monoid
 from blockperm.monoid import (
+    ROW_CACHE_SIZE,
     EnumerationCeilingError,
     UniformBlockPermutation,
+    _codomain_key,
+    _fibres,
     _swap_bottom,
     breaking_points,
     closure_from_generators,
@@ -114,6 +120,13 @@ def swap_json(**fields):
     return {"n": 2, "blocks": [[1], [2]], "images": [[1], [2]], "map": [1, 0]} | fields
 
 
+def json_without(key):
+    """The JSON form of {1}->{2};{2}->{1} with one key left out."""
+    data = swap_json()
+    del data[key]
+    return data
+
+
 class TestRowValidation:
     """The constructor validates the rows, and so does every path that takes
     rows from outside the package."""
@@ -179,6 +192,12 @@ class TestRowValidation:
             (lambda: ubp_from_json(swap_json(n=True)), "'n' holds True"),
             (lambda: unpickled((0, 1), (1, 0.0)), "bottom label 0.0"),
             (lambda: unpickled((False,), (0,)), "top label False"),
+            (lambda: ubp_from_json(json_without("n")), "needs the key 'n'"),
+            (lambda: ubp_from_json(json_without("blocks")), "needs the key 'blocks'"),
+            (lambda: ubp_from_json(json_without("images")), "needs the key 'images'"),
+            (lambda: ubp_from_json(json_without("map")), "needs the key 'map'"),
+            (lambda: ubp_from_json(list(swap_json().values())), "is an object, not list"),
+            (lambda: ubp_from_json(None), "is an object, not NoneType"),
         ],
         ids=[
             "constructor",
@@ -198,6 +217,12 @@ class TestRowValidation:
             "ubp_from_json-bool-n",
             "unpickling-float",
             "unpickling-bool",
+            "ubp_from_json-missing-n",
+            "ubp_from_json-missing-blocks",
+            "ubp_from_json-missing-images",
+            "ubp_from_json-missing-map",
+            "ubp_from_json-list",
+            "ubp_from_json-none",
         ],
     )
     def test_outside_values_are_validated(self, build, match):
@@ -552,10 +577,46 @@ class TestEnumeration:
 
     def test_closure_matches(self):
         # As lists: the same elements in the same canonical order.
-        for n in range(6):
+        for n in range(7):
             closure = closure_from_generators(n)
             assert closure == enumerate_ubp(n)
             assert all(revalidated(h) == h for h in closure)
+
+    def test_closure_composes_only_merges_that_change_x(self, monkeypatch):
+        # b_i . x == x exactly when i and i + 1 share a codomain block of x.
+        calls = []
+
+        def counted(g, f):
+            h = compose(g, f)
+            calls.append((f, h))
+            return h
+
+        monkeypatch.setattr(monoid, "compose", counted)
+        for n in range(6):
+            calls.clear()
+            closure = closure_from_generators(n)
+            assert all((h.top, h.bot) != (f.top, f.bot) for f, h in calls)
+            changing = sum(x.bot[i - 1] != x.bot[i] for x in closure for i in range(1, n))
+            assert len(calls) == changing
+
+    def test_sort_key_matches_fibres(self):
+        for n in range(6):
+            for f in enumerate_ubp(n):
+                domain, images = _fibres(f.top), _fibres(f.bot)
+                codomain = tuple(sorted(images))
+                block_map = tuple(codomain.index(block) for block in images)
+                fresh = UniformBlockPermutation(f.top, f.bot)  # no cached key yet
+                assert fresh._sort_key() == (n, domain, codomain, block_map)
+
+    def test_row_caches_are_bounded_and_cleared_by_the_benchmark(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        UniformBlockPermutation((0, 1, 0), (1, 0, 0))._sort_key()  # a fresh key fills both
+        for cache in (_fibres, _codomain_key):
+            info = cache.cache_info()
+            assert info.maxsize == ROW_CACHE_SIZE and 0 < info.currsize <= ROW_CACHE_SIZE
+        workloads.clear_caches()
+        assert _fibres.cache_info().currsize == _codomain_key.cache_info().currsize == 0
 
     def test_sort_key_orders_as_lt(self):
         xs = enumerate_ubp(5)

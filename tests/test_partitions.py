@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -58,6 +59,25 @@ class TestConstruction:
     def test_missing_element_rejected(self):
         with pytest.raises(ValueError, match="element 2 missing"):
             SetPartition.from_blocks(3, [{1, 3}])
+
+    # 1.0 and True compare and hash equal to 1; "a" does not compare with 1.
+    @pytest.mark.parametrize(
+        "blocks, bad",
+        [
+            (((1.0,), (2,)), "1.0"),
+            (((1,), (2.0,)), "2.0"),
+            (((True,), (2,)), "True"),
+            (((1, True),), "True"),
+            ((("a",), (2,)), "'a'"),
+            (((1, "2"),), "'2'"),
+        ],
+        ids=["float", "float-second-block", "bool", "bool-in-block", "str", "str-in-block"],
+    )
+    @pytest.mark.parametrize("build", ["constructor", "from_blocks"])
+    def test_non_int_element_rejected(self, build, blocks, bad):
+        make = SetPartition if build == "constructor" else SetPartition.from_blocks
+        with pytest.raises(ValueError, match=f"element {re.escape(bad)} in block .* is not an int"):
+            make(2, blocks)
 
 
 class TestEnumeration:
