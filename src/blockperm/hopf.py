@@ -148,17 +148,6 @@ def pairing(x: Element, y: Element) -> int:
     return total
 
 
-def tensor_pairing(s: TensorElement, t: TensorElement) -> int:
-    """Factorwise pairing of tensors."""
-    total = 0
-    for (a, b), c1 in s.terms.items():
-        key = (diagram_inverse(a), diagram_inverse(b))
-        c2 = t.terms.get(key)
-        if c2:
-            total += c1 * c2
-    return total
-
-
 def is_primitive(x: Element) -> bool:
     """True iff the coproduct has only the two boundary terms."""
     if not x:

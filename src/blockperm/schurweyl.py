@@ -122,10 +122,6 @@ class ActionMatrix:
                 if clean:
                     self.rows[i] = clean
 
-    @staticmethod
-    def identity(dim: int) -> "ActionMatrix":
-        return ActionMatrix(dim, {i: {i: 1} for i in range(dim)})
-
     def __matmul__(self, other: "ActionMatrix") -> "ActionMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")

@@ -208,37 +208,41 @@ def _bell_numbers(limit: int) -> list[int]:
     return bell
 
 
+def _relations(n: int, s: dict, b: dict, one, mul: Callable):
+    """FitzGerald's presentation of the monoid of degree n by the
+    transpositions s_i and the merges b_i, as ``(text, lhs, rhs)`` for the
+    images ``s`` and ``b`` under ``mul``; ``text`` names a failing relation."""
+    for i in range(1, n):
+        yield f"s_{i}^2 != 1", mul(s[i], s[i]), one
+        yield f"b_{i}^2 != b_{i}", mul(b[i], b[i]), b[i]
+        absorbing = f"b_{i} s_{i} = s_{i} b_{i} = b_{i} fails"
+        yield absorbing, mul(b[i], s[i]), b[i]
+        yield absorbing, mul(s[i], b[i]), b[i]
+    for i in range(1, n - 1):
+        yield (
+            f"braid relation fails at {i}",
+            mul(s[i], mul(s[i + 1], s[i])),
+            mul(s[i + 1], mul(s[i], s[i + 1])),
+        )
+        yield (
+            f"mixed braid relation fails at {i}",
+            mul(s[i], mul(b[i + 1], s[i])),
+            mul(s[i + 1], mul(b[i], s[i + 1])),
+        )
+    for i in range(1, n):
+        for j in range(1, n):
+            if abs(i - j) > 1:
+                yield f"s_{i} s_{j} commuting fails", mul(s[i], s[j]), mul(s[j], s[i])
+                yield f"b_{i} s_{j} commuting fails", mul(b[i], s[j]), mul(s[j], b[i])
+            yield f"b_{i} b_{j} commuting fails", mul(b[i], b[j]), mul(b[j], b[i])
+
+
 def _relation_failure(n: int, s: dict, b: dict, one, mul: Callable) -> str | None:
-    """The first defining relation of the monoid of degree n (FitzGerald's
-    presentation by the transpositions s_i and the merges b_i) that the
-    images ``s`` and ``b`` violate under ``mul``, or None if all hold."""
-
-    def relations():
-        for i in range(1, n):
-            yield f"s_{i}^2 != 1", mul(s[i], s[i]), one
-            yield f"b_{i}^2 != b_{i}", mul(b[i], b[i]), b[i]
-            absorbing = f"b_{i} s_{i} = s_{i} b_{i} = b_{i} fails"
-            yield absorbing, mul(b[i], s[i]), b[i]
-            yield absorbing, mul(s[i], b[i]), b[i]
-        for i in range(1, n - 1):
-            yield (
-                f"braid relation fails at {i}",
-                mul(s[i], mul(s[i + 1], s[i])),
-                mul(s[i + 1], mul(s[i], s[i + 1])),
-            )
-            yield (
-                f"mixed braid relation fails at {i}",
-                mul(s[i], mul(b[i + 1], s[i])),
-                mul(s[i + 1], mul(b[i], s[i + 1])),
-            )
-        for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) > 1:
-                    yield f"s_{i} s_{j} commuting fails", mul(s[i], s[j]), mul(s[j], s[i])
-                    yield f"b_{i} s_{j} commuting fails", mul(b[i], s[j]), mul(s[j], b[i])
-                yield f"b_{i} b_{j} commuting fails", mul(b[i], b[j]), mul(b[j], b[i])
-
-    return next((text for text, lhs, rhs in relations() if lhs != rhs), None)
+    """The text of the first relation of :func:`_relations` that fails, or
+    None if all hold."""
+    return next(
+        (text for text, lhs, rhs in _relations(n, s, b, one, mul) if lhs != rhs), None
+    )
 
 
 @_check("monoid", "generator relations (braid, mixed braid, commuting, absorbing)", 5)
@@ -367,15 +371,15 @@ def check_breaking_splits(limit: int) -> str:
 def check_weak_order_poset(limit: int) -> str:
     for n in range(limit + 1):
         perms = all_permutations(n)
+        up = {s: {t for t in perms if weak_leq(s, t)} for s in perms}
         for s in perms:
-            if not weak_leq(s, s):
+            if s not in up[s]:
                 return _fail(f"n={n}: not reflexive at {s}")
         for s, t in itertools.combinations(perms, 2):
-            if weak_leq(s, t) and weak_leq(t, s):
+            if t in up[s] and s in up[t]:
                 return _fail(f"n={n}: antisymmetry fails on {s}, {t}")
-        for s, t, u in itertools.product(perms, repeat=3):
-            if weak_leq(s, t) and weak_leq(t, u) and not weak_leq(s, u):
-                return _fail(f"n={n}: transitivity fails")
+        if any(not up[t] <= up[s] for s in perms for t in up[s]):
+            return _fail(f"n={n}: transitivity fails")
     return f"checked n <= {limit}"
 
 
@@ -383,23 +387,21 @@ def check_weak_order_poset(limit: int) -> str:
 def check_shuffle_posets(limit: int) -> str:
     for n in range(limit + 1):
         perms = all_permutations(n)
+        down = {t: {s for s in perms if weak_leq(s, t)} for t in perms}
         for p in range(n + 1):
             sh = set(shuffles(p, n - p))
             top = max_shuffle(p, n - p)
             if top not in sh:
                 return _fail(f"(p,q)=({p},{n-p}): maximum not a shuffle")
             for t in sh:
-                if not weak_leq(t, top):
+                if t not in down[top]:
                     return _fail(f"(p,q)=({p},{n-p}): {t} not below maximum")
-                for s in perms:
-                    if weak_leq(s, t) and s not in sh:
-                        return _fail(f"(p,q)=({p},{n-p}): not a lower ideal")
+                if not down[t] <= sh:
+                    return _fail(f"(p,q)=({p},{n-p}): not a lower ideal")
         for a in set_partitions(n):
             sh = set(block_shuffles(a))
-            for t in sh:
-                for s in perms:
-                    if weak_leq(s, t) and s not in sh:
-                        return _fail(f"a={a}: block shuffles not a lower ideal")
+            if any(not down[t] <= sh for t in sh):
+                return _fail(f"a={a}: block shuffles not a lower ideal")
     return f"checked n <= {limit}"
 
 
@@ -438,16 +440,13 @@ def check_hasse_components(limit: int) -> str:
             nodes, covers = hasse_component(a)
             if len(nodes) != len(block_shuffles(a)):
                 return _fail(f"a={a}: node count")
+            # up[i]: indices of the nodes weakly above nodes[i].
+            up = [{k for k, g in enumerate(nodes) if ubp_weak_leq(f, g)} for f in nodes]
             for i, j in covers:
-                if not ubp_weak_leq(nodes[i], nodes[j]) or nodes[i] == nodes[j]:
+                if j not in up[i] or nodes[i] == nodes[j]:
                     return _fail(f"a={a}: bad cover")
-                for k in range(len(nodes)):
-                    if k in (i, j):
-                        continue
-                    if ubp_weak_leq(nodes[i], nodes[k]) and ubp_weak_leq(
-                        nodes[k], nodes[j]
-                    ):
-                        return _fail(f"a={a}: cover not a cover")
+                if any(j in up[k] for k in up[i] - {i, j}):
+                    return _fail(f"a={a}: cover not a cover")
     return f"checked n <= {limit}"
 
 

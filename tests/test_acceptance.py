@@ -87,11 +87,13 @@ def test_criterion_07_self_duality():
 
 
 def test_criterion_08_weak_order():
-    with _Budget(8, "weak order: lower ideals, maxima, component sizes", 30):
+    with _Budget(8, "weak order: partial order, lower ideals, maxima, components", 30):
         _require(
+            verify.check_weak_order_poset(5),
             verify.check_shuffle_posets(5),
             verify.check_coset_decomposition(5),
             verify.check_component_decomposition(5),
+            verify.check_hasse_components(4),
         )
         # the maximum-shuffle claim holds one degree further out
         for p in range(7):

@@ -39,7 +39,7 @@ def test_no_per_call_limit_parameters():
         "blockperm.monoid.enumerate_ubp",
         "blockperm.monoid.closure_from_generators",
         "blockperm.schurweyl.ubp_action_matrix",
-        "blockperm.schurweyl.ActionMatrix.identity",
+        "blockperm.schurweyl.CyclotomicInteger.root_power",
     } <= walked.keys()
     offenders = [
         (qualname, param)

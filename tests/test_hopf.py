@@ -19,7 +19,6 @@ from blockperm.hopf import (
     primitive_series,
     product,
     right_action,
-    tensor_pairing,
     tensor_product,
     to_lower_basis,
     to_upper_basis,
@@ -51,6 +50,14 @@ def basis(f):
 
 def ones(fs):
     return Element((f, 1) for f in fs)
+
+
+def tensor_pairing(s, t):
+    """Factorwise pairing of tensors."""
+    return sum(
+        c * t.terms.get((diagram_inverse(a), diagram_inverse(b)), 0)
+        for (a, b), c in s.terms.items()
+    )
 
 
 def f_pair():

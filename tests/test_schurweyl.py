@@ -76,7 +76,7 @@ class TestActionMatrices:
         assert mat.entries() == [(0, 0, 1), (1, 2, 1), (2, 1, 1), (3, 3, 1)]
 
     def test_identity_matrix(self):
-        assert ubp_action_matrix(identity(2), 3) == ActionMatrix.identity(9)
+        assert ubp_action_matrix(identity(2), 3) == ActionMatrix(9, {i: {i: 1} for i in range(9)})
 
     def test_at_most_one_entry_per_row(self):
         for f in enumerate_ubp(3):
@@ -132,7 +132,7 @@ class TestActionMatrices:
             frontier = fresh
         assert len(words) == 16
         for f, word in words.items():
-            mat = ActionMatrix.identity(8)
+            mat = ActionMatrix(8, {i: {i: 1} for i in range(8)})
             for gi in word:
                 mat = gen_mats[gi] @ mat
             assert mat == ubp_action_matrix(f, 2)

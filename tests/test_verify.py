@@ -17,6 +17,8 @@ from blockperm.monoid import (
     merge_generator,
     transposition_generator,
 )
+from blockperm.partitions import block_shuffles, parse_set_partition, set_partitions
+from blockperm.perms import Permutation
 
 SUITE_KEYS = ["monoid", "hopf", "duality", "bases", "ncsym", "schurweyl"]
 
@@ -204,6 +206,98 @@ def test_dropped_product_term_is_caught(monkeypatch):
     assert verify.check_hopf_associativity(3).passed is False
     assert verify.check_bialgebra_compatibility(3).passed is False
     assert verify.check_convolution(3).passed is False
+
+
+E3, S1, W0 = (Permutation(w) for w in [(1, 2, 3), (2, 1, 3), (3, 2, 1)])
+SINGLETONS = parse_set_partition("{1}{2}{3}")
+
+
+@pytest.mark.parametrize(
+    "broken, detail",
+    [
+        (lambda leq, s, t: (s, t) != (E3, W0) and leq(s, t), "n=3: transitivity fails"),
+        (
+            lambda leq, s, t: (s, t) == (W0, E3) or leq(s, t),
+            "n=3: antisymmetry fails on [1,2,3], [3,2,1]",
+        ),
+        (
+            lambda leq, s, t: (s, t) != (S1, S1) and leq(s, t),
+            "n=3: not reflexive at [2,1,3]",
+        ),
+    ],
+    ids=["without-e-below-w0", "with-w0-below-e", "irreflexive"],
+)
+def test_broken_weak_order_is_caught(monkeypatch, broken, detail):
+    weak_leq = verify.weak_leq
+    monkeypatch.setattr(verify, "weak_leq", lambda s, t: broken(weak_leq, s, t))
+    assert verify.check_weak_order_poset(5) == verify.Check(
+        "weak order is a partial order on permutations", False, detail
+    )
+
+
+def test_block_shuffles_missing_the_identity_are_caught(monkeypatch):
+    shuffles = verify.block_shuffles
+    monkeypatch.setattr(
+        verify, "block_shuffles", lambda a: shuffles(a)[1:] if a == SINGLETONS else shuffles(a)
+    )
+    check = verify.check_shuffle_posets(5)
+    assert check.passed is False
+    assert check.detail == "a={1}{2}{3}: block shuffles not a lower ideal"
+
+
+def test_inverse_convention_fails_the_shuffle_battery(monkeypatch):
+    # The perms docstring: inversions of the inverse permutation fail.
+    weak_leq = verify.weak_leq
+    monkeypatch.setattr(
+        verify, "weak_leq", lambda s, t: weak_leq(s.inverse(), t.inverse())
+    )
+    check = verify.check_shuffle_posets(5)
+    assert check.passed is False
+    assert check.detail == "(p,q)=(1,2): [2,1,3] not below maximum"
+
+
+def test_hasse_edge_from_minimum_to_maximum_is_caught(monkeypatch):
+    hasse_component = verify.hasse_component
+
+    def with_long_edge(a):
+        nodes, covers = hasse_component(a)
+        if a != SINGLETONS:
+            return nodes, covers
+        # The minimum is below every node, the maximum only below itself.
+        above = [sum(monoid.weak_leq(f, g) for g in nodes) for f in nodes]
+        lo, hi = above.index(len(nodes)), above.index(1)
+        return nodes, covers + [(lo, hi)]
+
+    monkeypatch.setattr(verify, "hasse_component", with_long_edge)
+    check = verify.check_hasse_components(4)
+    assert check.passed is False
+    assert check.detail == "a={1}{2}{3}: cover not a cover"
+
+
+@pytest.mark.parametrize(
+    "check, binding, pairs",
+    [
+        (verify.check_weak_order_poset, "weak_leq", 15018),  # sum of n!^2, n <= 5
+        (verify.check_shuffle_posets, "weak_leq", 15018),
+        (
+            verify.check_hasse_components,
+            "ubp_weak_leq",
+            # sum of |component|^2 over the partitions of degree <= 4
+            sum(len(block_shuffles(a)) ** 2 for n in range(5) for a in set_partitions(n)),
+        ),
+    ],
+)
+def test_weak_order_batteries_decide_each_pair_once(monkeypatch, check, binding, pairs):
+    calls = Counter()
+    leq = getattr(verify, binding)
+
+    def counted(x, y):
+        calls[x, y] += 1
+        return leq(x, y)
+
+    monkeypatch.setattr(verify, binding, counted)
+    assert check().passed
+    assert len(calls) == sum(calls.values()) == pairs
 
 
 def test_every_check_is_registered_in_exactly_one_suite():
