@@ -35,10 +35,9 @@ from blockperm.partitions import (
     count_of_type,
     set_partitions,
 )
-from blockperm.perms import Permutation, _inversion_mask, adjacent_transposition
+from blockperm.perms import _INT, Permutation, _inversion_mask, adjacent_transposition
 
 DEFAULT_CEILING = 6
-_INT = frozenset((int,))
 
 
 class EnumerationCeilingError(RuntimeError):
@@ -78,14 +77,13 @@ class UniformBlockPermutation:
     and so does every path that takes rows from outside the package
     (:func:`from_labels`, the parsers, :func:`ubp_from_json`, unpickling).
     Only :meth:`_trusted` skips the check.  Its callers are the producers
-    :func:`compose`, :func:`left_compose_perm`, :func:`_swap_bottom`,
-    :func:`closure_from_generators`, :func:`concat`, :func:`diagram_inverse`
-    and :func:`split_at_breaking_point`, whose rows are canonical and uniform by
-    construction from valid elements: the glue kernel and
-    ``canonical_labels`` number labels by first appearance along the top
-    row, and permuting the bottom row or shifting the labels of a right-hand
-    factor keeps both rows canonical with equal label counts.  So every value
-    in circulation is uniform.
+    :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
+    :func:`concat`, :func:`diagram_inverse` and :func:`split_at_breaking_point`,
+    whose rows are canonical and uniform by construction from valid elements:
+    the glue kernel and ``canonical_labels`` number labels by first
+    appearance along the top row, and permuting the bottom row or shifting
+    the labels of a right-hand factor keeps both rows canonical with equal
+    label counts.  So every value in circulation is uniform.
 
     Elements sort as the tuple ``(domain, codomain, block_map)``, where
     ``block_map[k]`` is the index, in canonical block order of the codomain,
@@ -346,12 +344,6 @@ def _swapped(row: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _swap_bottom(f: UBP, k: int) -> UBP:
-    """compose(transposition_generator(f.n, k), f), for 1 <= k < f.n: the
-    bottom labels at positions k and k + 1 swapped."""
-    return UBP._trusted(f.top, _swapped(f.bot, k))
-
-
 def diagram_inverse(f: UBP) -> UBP:
     """Swap domain and codomain and invert the block bijection.
 
@@ -380,8 +372,8 @@ def enumerate_ubp(n: int) -> list[UBP]:
 def elements_with_domain(a: SetPartition) -> list[UBP]:
     """All elements with the given domain partition, in canonical order.
 
-    Each one factors uniquely as xi . id_of_partition(a) with xi a block
-    shuffle of a (see :func:`shuffle_factorization`).  Like a full
+    Each one factors uniquely as f = xi . id_of_partition(a) with xi a block
+    shuffle of a; :func:`shuffle_factorization` returns that xi.  Like a full
     enumeration, it is refused above the ceiling.
     """
     return [f for _, f in masked_component(a)]
@@ -421,10 +413,10 @@ def closure_from_generators(n: int) -> list[UBP]:
 
     The search runs on label rows: the seen set holds ``(top, bot)`` pairs,
     and an element is built only for rows not seen before.  A transposition
-    s_i swaps the bottom labels at i and i + 1 (as :func:`_swap_bottom`
-    does); a merge b_i goes through :func:`compose`.  Generators that cannot
-    change x are skipped: s_i and b_i both fix x when ``x.bot[i - 1] ==
-    x.bot[i]``, since positions i and i + 1 then lie in one codomain block."""
+    s_i swaps the bottom labels at i and i + 1 (see :func:`_swapped`); a merge
+    b_i goes through :func:`compose`.  Generators that cannot change x are
+    skipped: s_i and b_i both fix x when ``x.bot[i - 1] == x.bot[i]``, since
+    positions i and i + 1 then lie in one codomain block."""
     _check_ceiling(n)
     merges = [merge_generator(n, i) for i in range(1, n)]
     start = identity(n)
@@ -540,18 +532,6 @@ def split_at_breaking_point(f: UBP, i: int) -> tuple[Permutation, UBP, UBP]:
     return Permutation(tuple(support + rest)), left, right
 
 
-@dataclass(frozen=True)
-class ShuffleFactorization:
-    """The unique factorization f = shuffle . id_of_partition(domain) with
-    the shuffle increasing on every domain block."""
-
-    shuffle: Permutation
-    domain: SetPartition
-
-    def reconstruct(self) -> UBP:
-        return compose(from_permutation(self.shuffle), id_of_partition(self.domain))
-
-
 def _matched_positions(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
     """For each position of ``src``, the position of ``dst`` it is matched
     with: the k-th occurrence of a label goes to its k-th occurrence."""
@@ -559,10 +539,11 @@ def _matched_positions(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int,
     return tuple(next(images[label]) for label in src)
 
 
-def shuffle_factorization(f: UBP) -> ShuffleFactorization:
-    """Extract the block-shuffle factor: each domain block, in increasing
-    order, maps onto its image block in increasing order."""
-    return ShuffleFactorization(Permutation(_matched_positions(f.top, f.bot)), f.domain)
+def shuffle_factorization(f: UBP) -> Permutation:
+    """The block shuffle xi with f = xi . id_of_partition(f.domain): each
+    domain block, in increasing order, maps onto its image block in
+    increasing order, so xi increases on every domain block."""
+    return Permutation(_matched_positions(f.top, f.bot))
 
 
 def shuffle_mask(f: UBP) -> int:
@@ -599,14 +580,15 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
     (3, [(1, 2), (2, 0)])
     """
     nodes = elements_with_domain(a)
-    index = {f: i for i, f in enumerate(nodes)}
+    # Every node has a's top row, so its bottom row identifies it.
+    index = {f.bot: i for i, f in enumerate(nodes)}
     covers = []
     for i, f in enumerate(nodes):
         where = _matched_positions(f.bot, f.top)  # where[k - 1] = xi^{-1}(k)
         bot = f.bot  # bot[k - 1] = the label of the block holding xi^{-1}(k)
         for k in range(1, a.n):
             if where[k - 1] < where[k] and bot[k - 1] != bot[k]:
-                covers.append((i, index[_swap_bottom(f, k)]))  # s_k . f
+                covers.append((i, index[_swapped(bot, k)]))  # s_k . f
     covers.sort()
     return nodes, covers
 
@@ -683,8 +665,4 @@ def ubp_from_json(data: dict) -> UBP:
             f"{domain.num_blocks} domain blocks onto {codomain.num_blocks}"
         )
     # The k-th domain block goes onto codomain block block_map[k].
-    bot = [0] * n
-    for label, j in enumerate(block_map):
-        for pos in codomain.blocks[j]:
-            bot[pos - 1] = label
-    return UBP(domain.position_labels(), tuple(bot))
+    return from_block_images(n, zip(domain.blocks, (codomain.blocks[j] for j in block_map)))

@@ -18,9 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from blockperm.perms import Permutation
-
-_INT = frozenset((int,))
+from blockperm.perms import _INT, Permutation
 
 
 @dataclass(frozen=True, order=True)
@@ -81,6 +79,8 @@ def _require_ints(block: tuple) -> None:
 
 
 def _validate_blocks(n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"partition size {n!r} is not a non-negative int")
     seen: set[int] = set()
     prev_min = 0
     for block in blocks:

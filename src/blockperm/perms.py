@@ -19,14 +19,23 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+# The one type allowed in permutations, blocks and label rows: 1.0 and True
+# compare and hash equal to 1.
+_INT = frozenset((int,))
+
+
 @dataclass(frozen=True, order=True)
 class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
+        images = self.images
+        if not _INT.issuperset(map(type, images)):
+            bad = next(v for v in images if type(v) is not int)
+            raise ValueError(f"entry {bad!r} in {images!r} is not an int")
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
 
     @staticmethod
     def identity(n: int) -> "Permutation":

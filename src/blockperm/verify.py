@@ -282,12 +282,12 @@ def check_inverse_monoid(limit: int) -> str:
 def check_factorization(limit: int) -> str:
     for n in range(limit + 1):
         for f in enumerate_ubp(n):
-            cert = shuffle_factorization(f)
-            if cert.reconstruct() != f:
+            xi = shuffle_factorization(f)
+            if compose(from_permutation(xi), id_of_partition(f.domain)) != f:
                 return _fail(f"n={n}: reconstruction fails for {f}")
             increasing = all(
-                cert.shuffle(block[t]) < cert.shuffle(block[t + 1])
-                for block in cert.domain.blocks
+                xi(block[t]) < xi(block[t + 1])
+                for block in f.domain.blocks
                 for t in range(len(block) - 1)
             )
             if not increasing:

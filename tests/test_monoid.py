@@ -15,7 +15,7 @@ from blockperm.monoid import (
     UniformBlockPermutation,
     _codomain_key,
     _fibres,
-    _swap_bottom,
+    _swapped,
     breaking_points,
     closure_from_generators,
     compose,
@@ -494,8 +494,7 @@ class TestTrustedProducers:
         for n in range(5):
             for f in enumerate_ubp(n):
                 for k in range(1, n):
-                    h = _swap_bottom(f, k)
-                    assert revalidated(h) == h
+                    h = UniformBlockPermutation(f.top, _swapped(f.bot, k))
                     assert h == compose(transposition_generator(n, k), f)
 
     @staticmethod
@@ -708,25 +707,23 @@ class TestSplit:
 class TestShuffleFactorization:
     def test_idempotents_have_trivial_factor(self):
         for a in set_partitions(4):
-            cert = shuffle_factorization(id_of_partition(a))
-            assert cert.shuffle == Permutation.identity(4)
-            assert cert.domain == a
+            ida = id_of_partition(a)
+            assert shuffle_factorization(ida) == Permutation.identity(4)
+            assert ida.domain == a
 
     def test_permutations_factor_as_themselves(self):
         for s in all_permutations(4):
-            cert = shuffle_factorization(from_permutation(s))
-            assert cert.shuffle == s
+            assert shuffle_factorization(from_permutation(s)) == s
 
     def test_f1(self):
-        cert = shuffle_factorization(the_f1())
-        assert cert.shuffle == Permutation((1, 3, 2))
+        assert shuffle_factorization(the_f1()) == Permutation((1, 3, 2))
 
     def test_reconstruction(self):
         for n in range(5):
             for f in enumerate_ubp(n):
-                cert = shuffle_factorization(f)
-                assert cert.reconstruct() == f
-                assert cert.shuffle in set(block_shuffles(f.domain))
+                xi = shuffle_factorization(f)
+                assert compose(from_permutation(xi), id_of_partition(f.domain)) == f
+                assert xi in set(block_shuffles(f.domain))
 
 
 class TestWeakOrder:
@@ -745,7 +742,7 @@ class TestWeakOrder:
         # sets of pairs rather than as the masks weak_leq compares.
         for n in range(5):
             elems = enumerate_ubp(n)
-            inversions = {f: shuffle_factorization(f).shuffle.inversions() for f in elems}
+            inversions = {f: shuffle_factorization(f).inversions() for f in elems}
             for f in elems:
                 for g in elems:
                     expected = f.top == g.top and inversions[f] <= inversions[g]
@@ -778,6 +775,23 @@ class TestWeakOrder:
                 if k in (i, j):
                     continue
                 assert not (weak_leq(nodes[i], nodes[k]) and weak_leq(nodes[k], nodes[j]))
+
+    def test_cached_component_builds_no_diagram_per_cover(self, monkeypatch):
+        # Covers are looked up by bottom row, so a second call on a cached
+        # component makes no element at all.
+        a = parse_set_partition("{1,3}{2}{4}")
+        nodes, covers = hasse_component(a)
+        assert covers
+        calls = []
+        trusted = UniformBlockPermutation._trusted
+
+        def counted(top, bot):
+            calls.append((top, bot))
+            return trusted(top, bot)
+
+        monkeypatch.setattr(UniformBlockPermutation, "_trusted", staticmethod(counted))
+        assert hasse_component(a) == (nodes, covers)
+        assert calls == []
 
     def test_covers_match_brute_force(self):
         for n in range(6):

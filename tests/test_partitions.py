@@ -79,6 +79,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"element {re.escape(bad)} in block .* is not an int"):
             make(2, blocks)
 
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [(2.0, ((1,), (2,))), (True, ((1,),)), (-1, ()), ("2", ((1,), (2,))), (None, ())],
+        ids=["float", "bool", "negative", "str", "none"],
+    )
+    @pytest.mark.parametrize("build", ["constructor", "from_blocks"])
+    def test_bad_size_rejected(self, build, n, blocks):
+        make = SetPartition if build == "constructor" else SetPartition.from_blocks
+        message = f"partition size {re.escape(repr(n))} is not a non-negative int"
+        with pytest.raises(ValueError, match=message):
+            make(n, blocks)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,expected", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])

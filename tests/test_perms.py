@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -32,6 +33,16 @@ class TestBasics:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
+
+    # 1.0 and True compare and hash equal to 1; "a" does not compare with 1.
+    @pytest.mark.parametrize(
+        "images, bad",
+        [((1.0, 2.0), "1.0"), ((1, 2.0), "2.0"), ((True, 2), "True"), (("a", 1), "'a'")],
+        ids=["float", "float-second", "bool", "str"],
+    )
+    def test_non_int_entry_rejected(self, images, bad):
+        with pytest.raises(ValueError, match=rf"entry {re.escape(bad)} in .* is not an int"):
+            Permutation(images)
 
     def test_compose_order(self):
         # tau first: (sigma * tau)(i) == sigma(tau(i))
