@@ -29,8 +29,10 @@ from typing import Iterable, Sequence
 
 from blockperm._glue_py import canonical_labels, glue_labels
 from blockperm.partitions import (
+    ROW_CACHE_SIZE,
     PartitionType,
     SetPartition,
+    _block_text,
     block_shuffles,
     count_of_type,
     set_partitions,
@@ -183,13 +185,6 @@ class UniformBlockPermutation:
 UBP = UniformBlockPermutation
 
 
-# Label rows whose fibres and codomain keys are kept per process.  Degree 6
-# has 203 distinct top rows and 4,683 distinct bottom rows, so a closure or
-# a full enumeration up to degree 6 evicts none, and a long-lived process
-# stays bounded.
-ROW_CACHE_SIZE = 8192
-
-
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _fibres(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """fibres[label] = the positions 1..n carrying that label, increasing."""
@@ -210,10 +205,6 @@ def _codomain_key(bot: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tu
     for pos, label in enumerate(order):
         block_map[label] = pos
     return tuple(images[label] for label in order), tuple(block_map)
-
-
-def _block_text(block: Iterable[int]) -> str:
-    return "{" + ",".join(str(i) for i in block) + "}"
 
 
 def _reject(top: tuple, bot: tuple) -> None:
@@ -596,12 +587,47 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
 def parse_ubp(text: str) -> UBP:
     """Parse the arrow text form, e.g. "{1,3}->{1,2};{2}->{3}".
 
-    The empty diagram is written "{}->{}".  Valid but non-canonical input is
-    rejected with the canonical spelling in the error message.
+    The empty diagram is written "{}->{}".  Canonical text is read straight
+    into label rows (:func:`_read_rows`), and the element is returned when
+    it prints back as the text.  Any other text is read again block by
+    block into set partitions, only to name its first defect: valid but
+    non-canonical input is rejected with the canonical spelling in the
+    error message.
     """
     s = text.strip()
     if s == "{}->{}":
         return identity(0)
+    try:
+        f = _read_rows(s)
+    except (ValueError, IndexError):
+        pass
+    else:
+        if str(f) == s:
+            return f
+    _reject_text(text)
+
+
+def _read_rows(s: str) -> UBP:
+    """The element spelled by canonical text s: arrow k gives label k to the
+    positions of its domain block on the top row and of its image block on
+    the bottom row.  Other text gives another element or raises ValueError
+    or IndexError, so the caller checks that the element prints as s."""
+    arrows = [arrow.split("->") for arrow in s.split(";")]
+    n = sum(dom.count(",") + 1 for dom, _ in arrows)
+    top = [-1] * n
+    bot = [-1] * n
+    for label, (dom, cod) in enumerate(arrows):
+        for i in dom[1:-1].split(","):
+            top[int(i) - 1] = label
+        for j in cod[1:-1].split(","):
+            bot[int(j) - 1] = label
+    return UBP(tuple(top), tuple(bot))
+
+
+def _reject_text(text: str) -> None:
+    """Raise ValueError naming the first defect of diagram text that
+    :func:`_read_rows` did not accept."""
+    s = text.strip()
     arrows = []
     for pos, piece in enumerate(s.split(";")):
         halves = piece.split("->")
@@ -610,9 +636,8 @@ def parse_ubp(text: str) -> UBP:
         arrows.append((_parse_block(halves[0], piece), _parse_block(halves[1], piece)))
     n = max((i for d, _ in arrows for i in d), default=0)
     result = from_block_images(n, arrows)
-    if str(result) != s:
-        raise ValueError(f"non-canonical element {text!r}; canonical form is {result}")
-    return result
+    # Canonical text reads back through _read_rows, so valid text here is not.
+    raise ValueError(f"non-canonical element {text!r}; canonical form is {result}")
 
 
 def _parse_block(text: str, context: str) -> tuple[int, ...]:

@@ -16,9 +16,16 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from blockperm.perms import _INT, Permutation
+
+# Label rows and blocks whose fibres, codomain keys and texts are kept per
+# process.  Degree 6 has 203 distinct top rows, 4,683 distinct bottom rows
+# and 63 blocks, so a closure or a full enumeration up to degree 6 evicts
+# none, and a long-lived process stays bounded.
+ROW_CACHE_SIZE = 8192
 
 
 @dataclass(frozen=True, order=True)
@@ -67,7 +74,14 @@ class SetPartition:
     def __str__(self) -> str:
         if not self.blocks:
             return "{}"
-        return "".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
+        return "".join(map(_block_text, self.blocks))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _block_text(block: tuple[int, ...]) -> str:
+    """The text of one block, e.g. "{1,3}"; a partition or a diagram prints
+    as its block texts."""
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 def _require_ints(block: tuple) -> None:
@@ -81,9 +95,13 @@ def _require_ints(block: tuple) -> None:
 def _validate_blocks(n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
     if type(n) is not int or n < 0:
         raise ValueError(f"partition size {n!r} is not a non-negative int")
+    if type(blocks) is not tuple:
+        raise TypeError("blocks must be a tuple of tuples")
     seen: set[int] = set()
     prev_min = 0
     for block in blocks:
+        if type(block) is not tuple:
+            raise TypeError("blocks must be a tuple of tuples")
         if not block:
             raise ValueError("empty block")
         _require_ints(block)

@@ -30,6 +30,8 @@ class Permutation:
 
     def __post_init__(self):
         images = self.images
+        if type(images) is not tuple:
+            raise TypeError("images must be a tuple")
         if not _INT.issuperset(map(type, images)):
             bad = next(v for v in images if type(v) is not int)
             raise ValueError(f"entry {bad!r} in {images!r} is not an int")

@@ -45,6 +45,7 @@ from blockperm.monoid import (
 )
 from blockperm.partitions import (
     SetPartition,
+    _block_text,
     block_shuffles,
     meet,
     parse_set_partition,
@@ -610,12 +611,15 @@ class TestEnumeration:
     def test_row_caches_are_bounded_and_cleared_by_the_benchmark(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         workloads = importlib.import_module("workloads")
-        UniformBlockPermutation((0, 1, 0), (1, 0, 0))._sort_key()  # a fresh key fills both
-        for cache in (_fibres, _codomain_key):
+        f = UniformBlockPermutation((0, 1, 0), (1, 0, 0))
+        f._sort_key()  # a fresh key fills both row caches
+        str(f)  # and printing fills the block cache
+        caches = (_fibres, _codomain_key, _block_text)
+        for cache in caches:
             info = cache.cache_info()
             assert info.maxsize == ROW_CACHE_SIZE and 0 < info.currsize <= ROW_CACHE_SIZE
         workloads.clear_caches()
-        assert _fibres.cache_info().currsize == _codomain_key.cache_info().currsize == 0
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
     def test_sort_key_orders_as_lt(self):
         xs = enumerate_ubp(5)
@@ -833,6 +837,85 @@ class TestWeakOrder:
         assert elements_with_domain(a) == expected
 
 
+TEXTS_UP_TO_5 = [str(f) for n in range(6) for f in enumerate_ubp(n)]
+DIAGRAM_SYMBOLS = "{}->;, 0123456789"
+
+
+@st.composite
+def diagram_text_mutations(draw):
+    """The text of a diagram of degree <= 5 after up to three mutations:
+    shuffled arrows, one arrow's halves swapped, or up to two characters
+    replaced by up to two others (so deleted, inserted or replaced, leading
+    zeros and inner spaces among them)."""
+    text = draw(st.sampled_from(TEXTS_UP_TO_5))
+    for _ in range(draw(st.integers(1, 3))):
+        arrows = text.split(";")
+        mutation = draw(st.sampled_from(("shuffle", "swap", "splice")))
+        if mutation == "shuffle":
+            text = ";".join(draw(st.permutations(arrows)))
+        elif mutation == "swap":
+            k = draw(st.integers(0, len(arrows) - 1))
+            arrows[k] = "->".join(reversed(arrows[k].split("->")))
+            text = ";".join(arrows)
+        else:
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 2)))
+            text = text[:i] + draw(st.text(DIAGRAM_SYMBOLS, max_size=2)) + text[j:]
+    return text
+
+
+def parse_outcome(parse, text):
+    """The element parse returns, or the text of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def reference_text(f):
+    """The text form, printed from the domain and image blocks."""
+    if not f.n:
+        return "{}->{}"
+    return ";".join(
+        reference_block_text(dom) + "->" + reference_block_text(f.image_block(k))
+        for k, dom in enumerate(f.domain.blocks)
+    )
+
+
+def reference_block_text(block):
+    return "{" + ",".join(str(i) for i in block) + "}"
+
+
+def reference_parse_ubp(text):
+    """The parser that reads every text through set partitions
+    (from_block_images) and accepts it only if it prints back the same."""
+    s = text.strip()
+    if s == "{}->{}":
+        return identity(0)
+    arrows = []
+    for pos, piece in enumerate(s.split(";")):
+        halves = piece.split("->")
+        if len(halves) != 2:
+            raise ValueError(f"arrow {pos} must look like '{{..}}->{{..}}': {piece!r}")
+        arrows.append((reference_block(halves[0], piece), reference_block(halves[1], piece)))
+    n = max((i for d, _ in arrows for i in d), default=0)
+    result = from_block_images(n, arrows)
+    canonical = reference_text(result)
+    if canonical != s:
+        raise ValueError(f"non-canonical element {text!r}; canonical form is {canonical}")
+    return result
+
+
+def reference_block(text, context):
+    s = text.strip()
+    if not (s.startswith("{") and s.endswith("}")) or len(s) < 3:
+        raise ValueError(f"bad block {text!r} in {context!r}")
+    try:
+        return tuple(int(tok) for tok in s[1:-1].split(","))
+    except ValueError:
+        raise ValueError(f"bad block contents {text!r} in {context!r}") from None
+
+
 class TestText:
     def test_roundtrip_all_small(self):
         for n in range(5):
@@ -851,3 +934,59 @@ class TestText:
     def test_bad_arrow(self):
         with pytest.raises(ValueError, match="arrow"):
             parse_ubp("{1}-{1}")
+
+    def test_matches_reference_parser_on_canonical_texts(self):
+        for text in TEXTS_UP_TO_5:
+            assert parse_outcome(parse_ubp, text) == parse_outcome(reference_parse_ubp, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{2}->{3};{1,3}->{1,2}",  # arrows out of domain order
+            "{3,1}->{1,2};{2}->{3}",  # unsorted block
+            "{01}->{1}",
+            "{1, 2}->{1,2}",
+            " {1}->{1} ",  # canonical: surrounding space is ignored
+            "{1}->{1};",
+            "{1}->{2}",
+            "{1,1}->{1,2}",
+            "{1,2}->{1};{3}->{2,3}",  # non-uniform
+            "{0}->{0}",
+            "{1000000}->{1000000}",
+            "{}->{};{1}->{1}",
+            "{1}->{1}->{1}",
+        ],
+    )
+    def test_matches_reference_parser_on_edge_texts(self, text):
+        assert parse_outcome(parse_ubp, text) == parse_outcome(reference_parse_ubp, text)
+
+    @given(diagram_text_mutations())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_parser_on_mutated_texts(self, text):
+        assert parse_outcome(parse_ubp, text) == parse_outcome(reference_parse_ubp, text)
+
+    def test_canonical_text_builds_no_set_partition(self, monkeypatch):
+        calls = []
+        from_blocks = SetPartition.from_blocks
+
+        def counted(n, blocks):
+            calls.append(n)
+            return from_blocks(n, blocks)
+
+        monkeypatch.setattr(SetPartition, "from_blocks", staticmethod(counted))
+        for text in TEXTS_UP_TO_5:
+            parse_ubp(text)
+        assert calls == []
+        # Text that is not canonical is diagnosed through both partitions.
+        with pytest.raises(ValueError, match="canonical form is"):
+            parse_ubp("{2}->{3};{1,3}->{1,2}")
+        assert calls == [3, 3]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_block_text_cache_holds_each_block_once(self, n):
+        diagrams, partitions = enumerate_ubp(n), set_partitions(n)
+        _block_text.cache_clear()
+        for x in diagrams + partitions:
+            str(x)
+        # One entry per non-empty subset of [n].
+        assert _block_text.cache_info().currsize == 2**n - 1

@@ -35,6 +35,16 @@ def bell_by_growth_strings(n):
 
 
 class TestConstruction:
+    # A list prints like the tuple but neither equals nor hashes like it.
+    @pytest.mark.parametrize(
+        "blocks",
+        [[(1,), (2,)], ((1,), [2]), [[1], [2]], ((1,), range(2, 3))],
+        ids=["list-of-blocks", "list-block", "lists", "range-block"],
+    )
+    def test_non_tuple_blocks_rejected(self, blocks):
+        with pytest.raises(TypeError, match="blocks must be a tuple of tuples"):
+            SetPartition(2, blocks)
+
     def test_canonicalization_example(self):
         a = SetPartition.from_blocks(8, [{2, 5, 7}, {1, 3}, {6, 8}, {4}])
         assert str(a) == "{1,3}{2,5,7}{4}{6,8}"

@@ -44,6 +44,12 @@ class TestBasics:
         with pytest.raises(ValueError, match=rf"entry {re.escape(bad)} in .* is not an int"):
             Permutation(images)
 
+    # A list prints like the tuple but neither equals nor hashes like it.
+    @pytest.mark.parametrize("images", [[2, 1], range(1, 3)], ids=["list", "range"])
+    def test_non_tuple_images_rejected(self, images):
+        with pytest.raises(TypeError, match="images must be a tuple"):
+            Permutation(images)
+
     def test_compose_order(self):
         # tau first: (sigma * tau)(i) == sigma(tau(i))
         sigma = Permutation((2, 3, 1))
