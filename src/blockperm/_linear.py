@@ -101,10 +101,11 @@ def parse_terms(text: str, parse_key: Callable, cls: type) -> LinearCombination:
     The text is "0" or ``coefficient*term`` pieces joined by " + "; a bare
     term has coefficient 1, and ``parse_key`` reads each term.  A valid sum
     that is not canonical (a coefficient not spelled as ``str(int)``, a term
-    not spelled as ``cls.term_str`` prints it, a zero coefficient, a repeated
-    term, or terms out of order) is rejected with its canonical form in the
-    message.  Whitespace around the whole text is accepted; whitespace
-    inside a term is not.
+    holding whitespace, a zero coefficient, a repeated term, or terms out of
+    order) is rejected with its canonical form in the message.  Whitespace
+    around the whole text is accepted.  ``parse_key`` returns a key only for
+    text that equals ``cls.term_str(key)`` once its whitespace is removed,
+    and ``term_str`` prints none, so a term without whitespace is canonical.
     """
     s = text.strip()
     if s == "0":
@@ -125,7 +126,7 @@ def parse_terms(text: str, parse_key: Callable, cls: type) -> LinearCombination:
         if problem is None:
             if coeff_text != str(coeff):
                 problem = f"term {pos}: coefficient {coeff_text!r} should read {str(coeff)!r}"
-            elif key_text != cls.term_str(key):
+            elif key_text.split() != [key_text]:  # whitespace in the term
                 problem = f"term {pos}: term {key_text!r} should read {cls.term_str(key)!r}"
             elif not coeff:
                 problem = f"term {pos}: zero coefficient"

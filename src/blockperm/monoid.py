@@ -587,32 +587,40 @@ def hasse_component(a: SetPartition) -> tuple[list[UBP], list[tuple[int, int]]]:
 def parse_ubp(text: str) -> UBP:
     """Parse the arrow text form, e.g. "{1,3}->{1,2};{2}->{3}".
 
-    The empty diagram is written "{}->{}".  Canonical text is read straight
-    into label rows (:func:`_read_rows`), and the element is returned when
-    it prints back as the text.  Any other text is read again block by
-    block into set partitions, only to name its first defect: valid but
-    non-canonical input is rejected with the canonical spelling in the
-    error message.
+    The empty diagram is written "{}->{}".  The text is split into arrows
+    once.  Canonical arrows are read straight into label rows
+    (:func:`_read_rows`), and the element is returned when it prints back as
+    the text.  Any other arrows are read block by block into set partitions,
+    only to name the first defect: valid but non-canonical input is rejected
+    with the canonical spelling in the error message.
     """
     s = text.strip()
     if s == "{}->{}":
         return identity(0)
+    arrows = [arrow.split("->") for arrow in s.split(";")]
     try:
-        f = _read_rows(s)
+        f = _read_rows(arrows)
     except (ValueError, IndexError):
         pass
     else:
         if str(f) == s:
             return f
-    _reject_text(text)
+    pairs = []
+    for pos, halves in enumerate(arrows):
+        piece = "->".join(halves)
+        if len(halves) != 2:
+            raise ValueError(f"arrow {pos} must look like '{{..}}->{{..}}': {piece!r}")
+        pairs.append((_parse_block(halves[0], piece), _parse_block(halves[1], piece)))
+    result = from_block_images(max((i for d, _ in pairs for i in d), default=0), pairs)
+    # Canonical text reads back through _read_rows, so valid text here is not.
+    raise ValueError(f"non-canonical element {text!r}; canonical form is {result}")
 
 
-def _read_rows(s: str) -> UBP:
-    """The element spelled by canonical text s: arrow k gives label k to the
-    positions of its domain block on the top row and of its image block on
-    the bottom row.  Other text gives another element or raises ValueError
-    or IndexError, so the caller checks that the element prints as s."""
-    arrows = [arrow.split("->") for arrow in s.split(";")]
+def _read_rows(arrows: list[list[str]]) -> UBP:
+    """The element spelled by canonical text split into arrows: arrow k gives
+    label k to its domain block's positions on the top row and its image
+    block's on the bottom row.  Other text gives another element or raises
+    ValueError or IndexError, so the caller checks that it prints as the text."""
     n = sum(dom.count(",") + 1 for dom, _ in arrows)
     top = [-1] * n
     bot = [-1] * n
@@ -622,22 +630,6 @@ def _read_rows(s: str) -> UBP:
         for j in cod[1:-1].split(","):
             bot[int(j) - 1] = label
     return UBP(tuple(top), tuple(bot))
-
-
-def _reject_text(text: str) -> None:
-    """Raise ValueError naming the first defect of diagram text that
-    :func:`_read_rows` did not accept."""
-    s = text.strip()
-    arrows = []
-    for pos, piece in enumerate(s.split(";")):
-        halves = piece.split("->")
-        if len(halves) != 2:
-            raise ValueError(f"arrow {pos} must look like '{{..}}->{{..}}': {piece!r}")
-        arrows.append((_parse_block(halves[0], piece), _parse_block(halves[1], piece)))
-    n = max((i for d, _ in arrows for i in d), default=0)
-    result = from_block_images(n, arrows)
-    # Canonical text reads back through _read_rows, so valid text here is not.
-    raise ValueError(f"non-canonical element {text!r}; canonical form is {result}")
 
 
 def _parse_block(text: str, context: str) -> tuple[int, ...]:
@@ -671,6 +663,12 @@ def ubp_from_json(data: dict) -> UBP:
         if key not in data:
             raise ValueError(f"a diagram in JSON form needs the key {key!r}")
     n, block_map = data["n"], data["map"]
+    lists = (list, tuple)
+    for key in ("blocks", "images"):
+        if not (isinstance(data[key], lists) and all(isinstance(b, lists) for b in data[key])):
+            raise ValueError(f"{key!r} holds {data[key]!r}, which is not a list of lists")
+    if not isinstance(block_map, lists):
+        raise ValueError(f"'map' holds {block_map!r}, which is not a list")
     for key, values in (
         ("n", [n]),
         ("blocks", [i for block in data["blocks"] for i in block]),

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from blockperm import hopf
 from blockperm.hopf import Element, parse_element
-from blockperm.monoid import enumerate_ubp, parse_ubp
-from blockperm.ncsym import NCSymElement, parse_p_element
-from blockperm.partitions import parse_set_partition, set_partitions
+from blockperm.monoid import UniformBlockPermutation, enumerate_ubp, parse_ubp
+from blockperm.ncsym import NCSymElement, _parse_p_token, parse_p_element
+from blockperm.partitions import SetPartition, parse_set_partition, set_partitions
 from blockperm.perms import Permutation, all_permutations, parse_permutation
-from test_monoid import diagrams
+from test_monoid import diagrams, parse_outcome
 
 DIAGRAMS = [f for n in range(4) for f in enumerate_ubp(n)]
 PARTITIONS = [a for n in range(5) for a in set_partitions(n)]
@@ -40,6 +40,64 @@ def mutated_texts(draw):
         j = draw(st.integers(i, min(len(text), i + 3)))
         text = text[:i] + draw(st.text(SYMBOLS, max_size=3)) + text[j:]
     return text
+
+
+# Sum texts with terms of degree up to 4, spliced with four kinds of
+# whitespace and with a digit that int() reads but the printer never writes.
+SUM_SEEDS = (
+    ["0", "1*{}->{}", "1*p{}", "-2*{1,2}->{1,2} + 3*{1,3}->{1,2};{2}->{3}"]
+    + [f"-1*{f} + 2*{g}" for f, g in zip(DIAGRAMS[1::7], DIAGRAMS[2::7]) if f < g]
+    + [f"-3*p{a} + 1*p{b}" for a, b in zip(PARTITIONS[1::4], PARTITIONS[3::4]) if a < b]
+    + [f"1*{f}" for f in enumerate_ubp(4)[::11]]
+)
+SUM_SYMBOLS = "{}-+*,;>p01234 \t\n\u00a0\u0661"
+
+
+@st.composite
+def mutated_sums(draw):
+    """A sum text with up to three random splices."""
+    text = draw(st.sampled_from(SUM_SEEDS))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 2)))
+        text = text[:i] + draw(st.text(SUM_SYMBOLS, min_size=1, max_size=2)) + text[j:]
+    return text
+
+
+def reference_parse_terms(text, parse_key, cls):
+    """The sum parser that prints every term it reads and accepts the term
+    only if it prints back the same."""
+    s = text.strip()
+    if s == "0":
+        return cls()
+    pairs = []
+    problem = None
+    for pos, piece in enumerate(s.split(" + ")):
+        coeff_text, star, key_text = piece.partition("*")
+        if not star:
+            coeff_text, key_text = "1", piece
+        try:
+            coeff = int(coeff_text)
+        except ValueError:
+            raise ValueError(
+                f"term {pos}: bad coefficient {coeff_text!r} in {piece!r}"
+            ) from None
+        key = parse_key(key_text)
+        if problem is None:
+            if coeff_text != str(coeff):
+                problem = f"term {pos}: coefficient {coeff_text!r} should read {str(coeff)!r}"
+            elif key_text != cls.term_str(key):
+                problem = f"term {pos}: term {key_text!r} should read {cls.term_str(key)!r}"
+            elif not coeff:
+                problem = f"term {pos}: zero coefficient"
+            elif pairs and not pairs[-1][0] < key:
+                order = "repeated term" if key == pairs[-1][0] else "terms out of order"
+                problem = f"term {pos}: {order}"
+        pairs.append((key, coeff))
+    out = cls(pairs)
+    if problem:
+        raise ValueError(f"non-canonical sum {text!r} ({problem}); canonical form is {out}")
+    return out
 
 
 def pair_lists(keys):
@@ -134,6 +192,44 @@ class TestParsers:
         for text, canonical in _reorderings(u):
             with pytest.raises(ValueError, match=re.escape(f"canonical form is {canonical}") + "$"):
                 parse_p_element(text)
+
+
+class TestSumParser:
+    @pytest.mark.parametrize(
+        "parse, parse_key, cls",
+        [(parse_element, parse_ubp, Element), (parse_p_element, _parse_p_token, NCSymElement)],
+        ids=["element", "p-element"],
+    )
+    @given(text=mutated_sums())
+    @example(text="1* {1}->{1}")
+    @example(text="1*{1}->{1}  + 1*{1}->{1}")
+    @example(text="1*p {1}")
+    @example(text="1* p{1}")
+    @example(text="1*p{1,2} + 1*p {1}{2}")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_parser(self, parse, parse_key, cls, text):
+        expected = parse_outcome(lambda t: reference_parse_terms(t, parse_key, cls), text)
+        assert parse_outcome(parse, text) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 15])
+    def test_each_term_is_printed_once(self, monkeypatch, k):
+        x = Element((f, i + 1) for i, f in enumerate(enumerate_ubp(4)[:k]))
+        u = NCSymElement((a, -i - 1) for i, a in enumerate(set_partitions(4)[:k]))
+        x_text, u_text = str(x), str(u)
+        calls = Counter()
+        for key_cls in (UniformBlockPermutation, SetPartition):
+            printer = key_cls.__str__
+
+            def counted(key, printer=printer):
+                calls[type(key)] += 1
+                return printer(key)
+
+            monkeypatch.setattr(key_cls, "__str__", counted)
+        assert parse_element(x_text) == x
+        assert calls == {UniformBlockPermutation: k}
+        calls.clear()
+        assert parse_p_element(u_text) == u
+        assert calls == {SetPartition: k}
 
 
 class TestHopfLawsPastExhaustiveBound:

@@ -191,6 +191,14 @@ class TestRowValidation:
             (lambda: ubp_from_json(swap_json(map=[True, False])), "'map' holds True"),
             (lambda: ubp_from_json(swap_json(n=2.0)), "'n' holds 2.0"),
             (lambda: ubp_from_json(swap_json(n=True)), "'n' holds True"),
+            (lambda: ubp_from_json(swap_json(blocks=5)), "'blocks' holds 5, which is not a list of"),
+            (lambda: ubp_from_json(swap_json(blocks=[1])), r"'blocks' holds \[1\], which is not a list of"),
+            (lambda: ubp_from_json(swap_json(blocks=None)), "'blocks' holds None, which is not a list of"),
+            (lambda: ubp_from_json(swap_json(blocks="1")), "'blocks' holds '1', which is not a list of"),
+            (lambda: ubp_from_json(swap_json(images={"1": 1})), r"'images' holds \{'1': 1\}, which is not a"),
+            (lambda: ubp_from_json(swap_json(images=[[1], 2])), r"'images' holds \[\[1\], 2\], which is not"),
+            (lambda: ubp_from_json(swap_json(map=0)), "'map' holds 0, which is not a list"),
+            (lambda: ubp_from_json(swap_json(map="10")), "'map' holds '10', which is not a list"),
             (lambda: unpickled((0, 1), (1, 0.0)), "bottom label 0.0"),
             (lambda: unpickled((False,), (0,)), "top label False"),
             (lambda: ubp_from_json(json_without("n")), "needs the key 'n'"),
@@ -216,6 +224,14 @@ class TestRowValidation:
             "ubp_from_json-bool-map",
             "ubp_from_json-float-n",
             "ubp_from_json-bool-n",
+            "ubp_from_json-int-blocks",
+            "ubp_from_json-int-block",
+            "ubp_from_json-null-blocks",
+            "ubp_from_json-string-blocks",
+            "ubp_from_json-object-images",
+            "ubp_from_json-int-image",
+            "ubp_from_json-int-map",
+            "ubp_from_json-string-map",
             "unpickling-float",
             "unpickling-bool",
             "ubp_from_json-missing-n",
