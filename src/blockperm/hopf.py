@@ -4,7 +4,8 @@ Elements are finite integer combinations of diagrams, graded by n (mixed
 degrees are allowed; every operation acts per homogeneous component).  The
 product shuffles two diagrams side by side, the coproduct splits a diagram
 at the breaking points of its codomain partition, and the antipode follows
-the standard recursion available in any graded connected bialgebra.  All
+the standard recursion of a graded connected bialgebra over the reduced
+coproduct (the terms whose two factors both have positive degree).  All
 coefficients stay in the integers.
 
 Text form: signed integer terms joined by " + ", e.g.
@@ -20,21 +21,18 @@ from typing import Iterable
 from blockperm._linear import LinearCombination, parse_terms
 from blockperm.monoid import (
     UBP,
-    UniformBlockPermutation,
+    _cut,
     breaking_points,
     compose,
     concat,
     count_ubp,
     diagram_inverse,
     elements_with_domain,
-    from_permutation,
-    id_of_partition,
     identity,
     left_compose_perm,
     masked_component,
     parse_ubp,
     shuffle_mask,
-    split_at_breaking_point,
     ubp_to_json,
 )
 from blockperm.partitions import SetPartition
@@ -78,11 +76,9 @@ def product(x: Element, y: Element) -> Element:
 
 
 def coproduct(x: Element) -> TensorElement:
-    """One summand per breaking point of each term's codomain partition."""
+    """One summand per breaking point of each term's codomain: its ``_cut``."""
     return TensorElement(
-        (split_at_breaking_point(f, i)[1:], a)
-        for f, a in x.terms.items()
-        for i in breaking_points(f)
+        (_cut(f, i), a) for f, a in x.terms.items() for i in breaking_points(f)
     )
 
 
@@ -115,23 +111,22 @@ ANTIPODE_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
 def _antipode_basis(f: UBP) -> Element:
-    n = f.n
-    if n == 0:
+    if f.n == 0:
         return Element.basis(f)
     pairs = [(f, -1)]
-    for i in breaking_points(f):
-        if 0 < i < n:
-            _, left, right = split_at_breaking_point(f, i)
+    for (left, right), c in coproduct(Element.basis(f)).terms.items():
+        if left.n and right.n:
             pairs.extend(
-                (g, -c)
-                for g, c in product(_antipode_basis(left), Element.basis(right)).terms.items()
+                (g, -c * d)
+                for g, d in product(_antipode_basis(left), Element.basis(right)).terms.items()
             )
     return Element(pairs)
 
 
 def antipode(x: Element) -> Element:
-    """Degreewise recursion S(f) = -f - sum over proper breaking points of
-    S(left) * right; integral in every degree."""
+    """Degreewise recursion S(f) = -f - sum of S(left) * right over the terms
+    left (x) right of the reduced coproduct of f (both factors of positive
+    degree); integral in every degree."""
     return Element(
         (g, a * c) for f, a in x.terms.items() for g, c in _antipode_basis(f).terms.items()
     )

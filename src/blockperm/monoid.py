@@ -80,7 +80,7 @@ class UniformBlockPermutation:
     (:func:`from_labels`, the parsers, :func:`ubp_from_json`, unpickling).
     Only :meth:`_trusted` skips the check.  Its callers are the producers
     :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
-    :func:`concat`, :func:`diagram_inverse` and :func:`split_at_breaking_point`,
+    :func:`concat`, :func:`diagram_inverse` and :func:`_cut`,
     whose rows are canonical and uniform by construction from valid elements:
     the glue kernel and ``canonical_labels`` number labels by first
     appearance along the top row, and permuting the bottom row or shifting
@@ -501,26 +501,30 @@ def breaking_points(f: UBP) -> tuple[int, ...]:
 def split_at_breaking_point(f: UBP, i: int) -> tuple[Permutation, UBP, UBP]:
     """Factor f through the breaking point i.
 
-    Returns (xi, left, right) where left and right are the standardized
-    restrictions of f to the codomain prefix {1..i} and suffix {i+1..n}
-    (and their domain preimages), and xi is the unique (i, n-i)-shuffle with
+    Returns (xi, left, right) where (left, right) is :func:`_cut` of f at i
+    and xi is the unique (i, n-i)-shuffle with
 
         f == compose(concat(left, right), from_permutation(xi.inverse()))
 
     Uniqueness of xi among the (i, n-i)-shuffles is checked exhaustively in
     the test suite rather than assumed.
     """
+    prefix = set(f.bot[:i])  # sliced first, so a non-int i raises TypeError
+    if i not in breaking_points(f):
+        raise ValueError(f"{i} is not a breaking point of {f}")
+    xi = sorted(range(1, f.n + 1), key=lambda t: f.top[t - 1] not in prefix)  # preimage first
+    return Permutation(tuple(xi)), *_cut(f, i)
+
+
+def _cut(f: UBP, i: int) -> tuple[UBP, UBP]:
+    """The standardized restrictions of f to the codomain prefix {1..i} and the
+    suffix, with their domain preimages; unchecked: i must be a breaking point."""
     top, bot = f.top, f.bot
     prefix = set(bot[:i])
-    if not 0 <= i <= len(bot) or not prefix.isdisjoint(bot[i:]):
-        raise ValueError(f"{i} is not a breaking point of {f}")
-    left = UBP._trusted(*canonical_labels([label for label in top if label in prefix], bot[:i]))
-    right = UBP._trusted(
-        *canonical_labels([label for label in top if label not in prefix], bot[i:])
+    return (
+        UBP._trusted(*canonical_labels([label for label in top if label in prefix], bot[:i])),
+        UBP._trusted(*canonical_labels([label for label in top if label not in prefix], bot[i:])),
     )
-    support = [t for t, label in enumerate(top, start=1) if label in prefix]
-    rest = [t for t, label in enumerate(top, start=1) if label not in prefix]
-    return Permutation(tuple(support + rest)), left, right
 
 
 def _matched_positions(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
@@ -687,5 +691,6 @@ def ubp_from_json(data: dict) -> UBP:
             f"block map {tuple(block_map)!r} is not a bijection from "
             f"{domain.num_blocks} domain blocks onto {codomain.num_blocks}"
         )
-    # The k-th domain block goes onto codomain block block_map[k].
-    return from_block_images(n, zip(domain.blocks, (codomain.blocks[j] for j in block_map)))
+    # Domain block k goes onto codomain block block_map[k]; preimage inverts it.
+    preimage = sorted(range(len(block_map)), key=block_map.__getitem__)
+    return UBP(domain.position_labels(), tuple(preimage[j] for j in codomain.position_labels()))

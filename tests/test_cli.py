@@ -143,6 +143,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def argparse_refusal(capsys, *argv):
+    """The message of an invocation that argparse refuses with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err.splitlines()[-1].split(" error: ", 1)[1]
+
+
 class TestCount:
     def test_all_methods_agree(self, capsys):
         code, out, _ = run_cli(capsys, "count", "4")
@@ -303,6 +312,39 @@ class TestOp:
     def test_missing_operand(self, capsys):
         code, _, err = run_cli(capsys, "op", "product", "{1}->{1}")
         assert code == 2
+
+    def test_negative_operand_after_double_dash(self, capsys):
+        # A printed antipode starts with "-"; argparse reads it as an option
+        # unless "--" ends the options first.
+        code, out, _ = run_cli(capsys, "op", "antipode", "{1}->{1}")
+        assert (code, out) == (0, "-1*{1}->{1}\n")
+        assert argparse_refusal(capsys, "op", "antipode", out.strip()) == (
+            "the following arguments are required: x"
+        )
+        code, out, _ = run_cli(capsys, "op", "antipode", "--", "-1*{1}->{1}")
+        assert (code, out) == (0, "1*{1}->{1}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("op", "product", "{1}->{1}", "--", "-1*{1}->{1}"),
+            ("op", "product", "--", "{1}->{1}", "-1*{1}->{1}"),
+        ],
+        ids=["dash-before-y", "dash-before-x"],
+    )
+    def test_negative_second_operand_after_double_dash(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "-1*{1}->{1};{2}->{2} + -1*{1}->{2};{2}->{1}\n")
+
+    def test_format_goes_before_double_dash(self, capsys):
+        code, out, _ = run_cli(capsys, "op", "antipode", "--format", "json", "--", "-1*{1}->{1}")
+        assert code == 0
+        assert json.loads(out)["result"] == [
+            {"coeff": 1, "term": {"blocks": [[1]], "images": [[1]], "map": [0], "n": 1}}
+        ]
+        assert argparse_refusal(
+            capsys, "op", "antipode", "--", "-1*{1}->{1}", "--format", "json"
+        ) == "unrecognized arguments: json"
 
 
 class TestHasse:
@@ -590,6 +632,13 @@ class TestPBasis:
         assert code == 0
         assert out.strip() == "1*p{1,2}"
 
+    def test_negative_operand_after_double_dash(self, capsys):
+        code, out, _ = run_cli(capsys, "pbasis", "to-element", "--", "-1*p{1}")
+        assert (code, out) == (0, "-1*{1}->{1}\n")
+        assert argparse_refusal(capsys, "pbasis", "to-element", "-1*p{1}") == (
+            "the following arguments are required: text"
+        )
+
     def test_roundtrip_sum_over_domain(self, capsys):
         code, out, _ = run_cli(capsys, "pbasis", "to-element", "1*p{1}{2}")
         element_text = out.strip()
@@ -656,13 +705,15 @@ def test_determinism_across_invocations(capsys):
 
 def test_readme_cli_block_exits_0(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [chunk.split("```", 1)[0] for chunk in section.split("```sh\n")[1:]]
     commands = [
         shlex.split(line, comments=True)
+        for block in blocks
         for line in block.splitlines()
         if line.startswith("blockperm ")
     ]
-    assert commands
+    assert len(blocks) == 2 and len(commands) == 13
     for argv in commands:
         code, _, err = run_cli(capsys, *argv[1:])
         assert (code, err) == (0, ""), argv

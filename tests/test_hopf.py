@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from blockperm import hopf, monoid
 from blockperm.hopf import (
     Element,
     TensorElement,
@@ -173,7 +174,7 @@ class TestAntipode:
 
     def test_left_and_right_recursions_agree(self):
         cache = {}
-        for n in range(4):
+        for n in range(6):
             for f in enumerate_ubp(n):
                 assert antipode(basis(f)) == antipode_right_recursion(f, cache)
 
@@ -190,6 +191,50 @@ class TestAntipode:
                     right = right + c * product(basis(a), antipode(basis(b)))
                 assert left == counit(x) * unit
                 assert right == counit(x) * unit
+
+
+def count_split_calls(monkeypatch):
+    """Count calls to split_at_breaking_point through every module binding."""
+    calls = []
+    split = monoid.split_at_breaking_point
+
+    def counted(f, i):
+        calls.append((f, i))
+        return split(f, i)
+
+    for module in (monoid, hopf):
+        if hasattr(module, "split_at_breaking_point"):
+            monkeypatch.setattr(module, "split_at_breaking_point", counted)
+    return calls
+
+
+class TestCutOnce:
+    """The coproduct is the one place in the Hopf layer that cuts a diagram;
+    it builds no shuffle, and the antipode reads its cuts from it."""
+
+    def test_coproduct_builds_no_permutation(self, monkeypatch):
+        diagrams = enumerate_ubp(5)
+        assert len(diagrams) == 1496
+        built = []
+        check = Permutation.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Permutation, "__post_init__", counted)
+        calls = count_split_calls(monkeypatch)
+        for f in diagrams:
+            coproduct(basis(f))
+        assert (built, calls) == ([], [])
+
+    def test_antipode_makes_no_split_call(self, monkeypatch):
+        diagrams = [f for n in range(5) for f in enumerate_ubp(n)]
+        calls = count_split_calls(monkeypatch)
+        hopf._antipode_basis.cache_clear()
+        for f in diagrams:
+            hopf._antipode_basis(f)
+        assert calls == []
 
 
 class TestHopfAxiomsSmall:

@@ -78,6 +78,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="bijection"):
             ubp_from_json(data)
 
+    def test_json_reads_each_side_once(self, monkeypatch):
+        expected = the_f1()
+        calls = []
+        from_blocks = SetPartition.from_blocks
+
+        def counted(n, raw_blocks):
+            calls.append(n)
+            return from_blocks(n, raw_blocks)
+
+        monkeypatch.setattr(SetPartition, "from_blocks", staticmethod(counted))
+        f = ubp_from_json({"n": 3, "blocks": [[1, 3], [2]], "images": [[1, 2], [3]], "map": [0, 1]})
+        assert f == expected and calls == [3, 3]
+
     def test_empty_element(self):
         e = identity(0)
         assert e.n == 0
@@ -704,6 +717,17 @@ class TestSplit:
         f = id_of_partition(parse_set_partition("{1,2,3}"))
         with pytest.raises(ValueError, match="not a breaking point"):
             split_at_breaking_point(f, 1)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_out_of_range_is_not_a_breaking_point(self, i):
+        with pytest.raises(ValueError, match=f"^{i} is not a breaking point of"):
+            split_at_breaking_point(the_f1(), i)
+
+    @pytest.mark.parametrize("text", ["{1,2,3}->{1,2,3}", "{1}->{1};{2}->{2}"])
+    def test_non_int_index_is_a_type_error(self, text):
+        # Whether or not 1 is a breaking point, 1.0 fails the same way.
+        with pytest.raises(TypeError, match="slice indices"):
+            split_at_breaking_point(parse_ubp(text), 1.0)
 
     def test_reassembly_and_uniqueness(self):
         for n in range(5):
