@@ -333,10 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["BLOCKPERM_CEILING"] = str(args.ceiling)
     try:
         return args.func(args)
-    except EnumerationCeilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (EnumerationCeilingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -2,7 +2,8 @@
 
 Elements are finite integer combinations of diagrams, graded by n (mixed
 degrees are allowed; every operation acts per homogeneous component).  The
-product shuffles two diagrams side by side, the coproduct splits a diagram
+product places two diagrams side by side and shuffles them, one term per
+interleaving of their two bottom rows; the coproduct splits a diagram
 at the breaking points of its codomain partition, and the antipode follows
 the standard recursion of a graded connected bialgebra over the reduced
 coproduct (the terms whose two factors both have positive degree).  All
@@ -22,21 +23,19 @@ from blockperm._linear import LinearCombination, parse_terms
 from blockperm.monoid import (
     UBP,
     _cut,
+    _shuffled,
     breaking_points,
     compose,
-    concat,
     count_ubp,
     diagram_inverse,
     elements_with_domain,
     identity,
-    left_compose_perm,
     masked_component,
     parse_ubp,
     shuffle_mask,
     ubp_to_json,
 )
 from blockperm.partitions import SetPartition
-from blockperm.perms import shuffles
 
 
 class Element(LinearCombination):
@@ -66,13 +65,11 @@ class TensorElement(LinearCombination):
 
 def product(x: Element, y: Element) -> Element:
     """Bilinear extension of f * g = sum over (p, q)-shuffles xi of
-    compose(from_permutation(xi), concat(f, g))."""
-    pairs = []
-    for f, a in x.terms.items():
-        for g, b in y.terms.items():
-            h = concat(f, g)
-            pairs.extend((left_compose_perm(xi, h), a * b) for xi in shuffles(f.n, g.n))
-    return Element(pairs)
+    compose(from_permutation(xi), concat(f, g)); each xi interleaves the two
+    bottom rows, f's and g's shifted, under their joined top row."""
+    return Element(
+        (h, a * b) for f, a in x.terms.items() for g, b in y.terms.items() for h in _shuffled(f, g)
+    )
 
 
 def coproduct(x: Element) -> TensorElement:

@@ -37,7 +37,8 @@ from blockperm.partitions import (
     count_of_type,
     set_partitions,
 )
-from blockperm.perms import _INT, Permutation, _inversion_mask, adjacent_transposition
+from blockperm.perms import _INT, Permutation, _interleavings, _inversion_mask
+from blockperm.perms import adjacent_transposition
 
 DEFAULT_CEILING = 6
 
@@ -80,7 +81,7 @@ class UniformBlockPermutation:
     (:func:`from_labels`, the parsers, :func:`ubp_from_json`, unpickling).
     Only :meth:`_trusted` skips the check.  Its callers are the producers
     :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
-    :func:`concat`, :func:`diagram_inverse` and :func:`_cut`,
+    :func:`concat`, :func:`_shuffled`, :func:`diagram_inverse` and :func:`_cut`,
     whose rows are canonical and uniform by construction from valid elements:
     the glue kernel and ``canonical_labels`` number labels by first
     appearance along the top row, and permuting the bottom row or shifting
@@ -351,6 +352,13 @@ def concat(f: UBP, g: UBP) -> UBP:
         f.top + tuple(label + shift for label in g.top),
         f.bot + tuple(label + shift for label in g.bot),
     )
+
+
+def _shuffled(f: UBP, g: UBP) -> list[UBP]:
+    """The terms of f * g in the order of ``shuffles(f.n, g.n)``: concat(f, g)
+    with f's part of its bottom row interleaved with g's, top row kept."""
+    h = concat(f, g)
+    return [UBP._trusted(h.top, bot) for bot in _interleavings(h.bot[:f.n], h.bot[f.n:])]
 
 
 def enumerate_ubp(n: int) -> list[UBP]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from blockperm.perms import _INT, Permutation
+from blockperm.perms import _INT, Permutation, _interleavings
 
 # Label rows and blocks whose fibres, codomain keys and texts are kept per
 # process.  Degree 6 has 203 distinct top rows, 4,683 distinct bottom rows
@@ -243,25 +243,12 @@ def cross(a: SetPartition, b: SetPartition) -> SetPartition:
 def block_shuffles(a: SetPartition) -> list[Permutation]:
     """All permutations increasing on every block of ``a``; there are
     n!/(product of block-size factorials) of them.  They are coset
-    representatives for the block stabilizer."""
-    n = a.n
-    out: list[Permutation] = []
-    images = [0] * n
-
-    def assign(k: int, remaining: tuple[int, ...]) -> None:
-        if k == len(a.blocks):
-            out.append(Permutation(tuple(images)))
-            return
-        block = a.blocks[k]
-        for values in itertools.combinations(remaining, len(block)):
-            for pos, val in zip(block, values):
-                images[pos - 1] = val
-            taken = set(values)
-            assign(k + 1, tuple(v for v in remaining if v not in taken))
-
-    assign(0, tuple(range(1, n + 1)))
-    out.sort()
-    return out
+    representatives for the block stabilizer: the inverses of the words that
+    interleave the blocks, each read in increasing order."""
+    words = [()]
+    for block in a.blocks:
+        words = [w for word in words for w in _interleavings(word, block)]
+    return sorted(Permutation(w).inverse() for w in words)
 
 
 def block_stabilizer(a: SetPartition) -> list[Permutation]:

@@ -123,10 +123,26 @@ def weak_leq(sigma: Permutation, tau: Permutation) -> bool:
     return a & ~b == 0
 
 
+def _interleavings(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every word reading u in order on len(u) of its positions and v on the
+    rest, in lexicographic order of u's positions: the one shuffle generator.
+
+    >>> _interleavings((1, 2), (3,))
+    [(1, 2, 3), (1, 3, 2), (3, 1, 2)]
+    """
+    out = []
+    for chosen in itertools.combinations(range(len(u) + len(v)), len(u)):
+        word = list(v)
+        for pos, x in zip(chosen, u):  # increasing, so each x lands at pos
+            word.insert(pos, x)
+        out.append(tuple(word))
+    return out
+
+
 def shuffles(p: int, q: int) -> list[Permutation]:
-    """All (p, q)-shuffles: permutations of S_{p+q} increasing on the first
-    p and on the last q positions.  C(p+q, p) of them, in lexicographic
-    order of the image set of the first p positions.
+    """All C(p+q, p) (p, q)-shuffles: permutations of S_{p+q} increasing on
+    the first p and on the last q positions, the inverses of the interleavings
+    of 1..p with p+1..p+q, in lexicographic order of the image set of 1..p.
 
     >>> [str(xi) for xi in shuffles(1, 2)]
     ['[1,2,3]', '[2,1,3]', '[3,1,2]']
@@ -135,14 +151,8 @@ def shuffles(p: int, q: int) -> list[Permutation]:
     """
     if p < 0 or q < 0:
         raise ValueError("shuffle sizes must be non-negative")
-    n = p + q
-    universe = range(1, n + 1)
-    out = []
-    for chosen in itertools.combinations(universe, p):
-        taken = set(chosen)
-        rest = tuple(v for v in universe if v not in taken)
-        out.append(Permutation(chosen + rest))
-    return out
+    first, last = tuple(range(1, p + 1)), tuple(range(p + 1, p + q + 1))
+    return [Permutation(w).inverse() for w in _interleavings(first, last)]
 
 
 def max_shuffle(p: int, q: int) -> Permutation:

@@ -1,8 +1,10 @@
+import functools
+import sys
 from collections import Counter
 
 import pytest
 
-from blockperm import hopf, monoid
+from blockperm import hopf, monoid, perms
 from blockperm.hopf import (
     Element,
     TensorElement,
@@ -67,6 +69,33 @@ def f_pair():
     return f1, f2
 
 
+@functools.cache
+def shuffles_by_filter(p, q):
+    """Oracle: the permutations of S_{p+q} increasing on the first p and on
+    the last q positions, found by filtering all of them."""
+    n = p + q
+    return [s for s in all_permutations(n) if all(s(i) < s(i + 1) for i in range(1, n) if i != p)]
+
+
+def product_by_definition(f, g):
+    """Oracle: the sum of compose(from_permutation(xi), concat(f, g)) over
+    the (f.n, g.n)-shuffles xi."""
+    h = concat(f, g)
+    return ones(compose(from_permutation(xi), h) for xi in shuffles_by_filter(f.n, g.n))
+
+
+def pairs_up_to(total):
+    """Every pair of diagrams whose degrees sum to at most ``total``."""
+    by_degree = [enumerate_ubp(n) for n in range(total + 1)]
+    return [
+        (f, g)
+        for n in range(total + 1)
+        for p in range(n + 1)
+        for f in by_degree[p]
+        for g in by_degree[n - p]
+    ]
+
+
 class TestProduct:
     def test_unit(self):
         one = Element.unit()
@@ -96,6 +125,18 @@ class TestProduct:
         lhs = product(basis(f) + 2 * basis(g), basis(h))
         rhs = product(basis(f), basis(h)) + 2 * product(basis(g), basis(h))
         assert lhs == rhs
+
+    def test_matches_shuffle_definition(self):
+        pairs = pairs_up_to(5)
+        assert len(pairs) == 3701
+        for f, g in pairs:
+            assert product(basis(f), basis(g)) == product_by_definition(f, g)
+
+    def test_definition_catches_a_dropped_interleaving(self, monkeypatch):
+        interleavings = monoid._interleavings
+        monkeypatch.setattr(monoid, "_interleavings", lambda u, v: interleavings(u, v)[:-1])
+        for f, g in pairs_up_to(3):
+            assert product(basis(f), basis(g)) != product_by_definition(f, g)
 
 
 class TestCoproduct:
@@ -193,19 +234,33 @@ class TestAntipode:
                 assert right == counit(x) * unit
 
 
-def count_split_calls(monkeypatch):
-    """Count calls to split_at_breaking_point through every module binding."""
+def count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` through every module binding in the package."""
     calls = []
-    split = monoid.split_at_breaking_point
 
-    def counted(f, i):
-        calls.append((f, i))
-        return split(f, i)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-    for module in (monoid, hopf):
-        if hasattr(module, "split_at_breaking_point"):
-            monkeypatch.setattr(module, "split_at_breaking_point", counted)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "blockperm":
+            for key, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, key, counted)
     return calls
+
+
+def count_permutations(monkeypatch):
+    """Record every Permutation constructed."""
+    built = []
+    check = Permutation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    return built
 
 
 class TestCutOnce:
@@ -215,26 +270,33 @@ class TestCutOnce:
     def test_coproduct_builds_no_permutation(self, monkeypatch):
         diagrams = enumerate_ubp(5)
         assert len(diagrams) == 1496
-        built = []
-        check = Permutation.__post_init__
-
-        def counted(self):
-            built.append(self)
-            check(self)
-
-        monkeypatch.setattr(Permutation, "__post_init__", counted)
-        calls = count_split_calls(monkeypatch)
+        built = count_permutations(monkeypatch)
+        calls = count_calls(monkeypatch, monoid.split_at_breaking_point)
         for f in diagrams:
             coproduct(basis(f))
         assert (built, calls) == ([], [])
 
     def test_antipode_makes_no_split_call(self, monkeypatch):
         diagrams = [f for n in range(5) for f in enumerate_ubp(n)]
-        calls = count_split_calls(monkeypatch)
+        calls = count_calls(monkeypatch, monoid.split_at_breaking_point)
         hopf._antipode_basis.cache_clear()
         for f in diagrams:
             hopf._antipode_basis(f)
         assert calls == []
+
+
+class TestInterleaveOnce:
+    """The product reads its terms off the interleavings of the two bottom
+    rows: it builds no shuffle and relabels no codomain."""
+
+    def test_product_builds_no_permutation(self, monkeypatch):
+        pairs = pairs_up_to(5)
+        built = count_permutations(monkeypatch)
+        shuffled = count_calls(monkeypatch, perms.shuffles)
+        relabelled = count_calls(monkeypatch, monoid.left_compose_perm)
+        for f, g in pairs:
+            product(basis(f), basis(g))
+        assert (built, shuffled, relabelled) == ([], [], [])
 
 
 class TestHopfAxiomsSmall:

@@ -1,8 +1,10 @@
+import itertools
 import re
 import tracemalloc
 
 import pytest
 
+from blockperm import partitions
 from blockperm.monoid import parse_ubp
 from blockperm.partitions import (
     PartitionType,
@@ -248,7 +250,29 @@ class TestRestrictAndCross:
         assert back == b
 
 
+def block_shuffles_by_filter(a):
+    """Oracle: the permutations of S_n in lexicographic order (those of
+    all_permutations) that increase on every block."""
+    return [
+        Permutation(w)
+        for w in itertools.permutations(range(1, a.n + 1))
+        if all(w[i - 1] < w[j - 1] for block in a.blocks for i, j in zip(block, block[1:]))
+    ]
+
+
 class TestPartitionShuffles:
+    def test_match_filter_of_all_permutations(self):
+        for n in range(7):
+            for a in set_partitions(n):
+                assert block_shuffles(a) == block_shuffles_by_filter(a)
+
+    def test_filter_catches_a_dropped_interleaving(self, monkeypatch):
+        interleavings = partitions._interleavings
+        monkeypatch.setattr(partitions, "_interleavings", lambda u, v: interleavings(u, v)[:-1])
+        for n in range(1, 6):
+            for a in set_partitions(n):
+                assert block_shuffles(a) != block_shuffles_by_filter(a)
+
     def test_singletons_give_whole_group(self):
         singles = SetPartition.from_blocks(3, [{1}, {2}, {3}])
         assert set(block_shuffles(singles)) == set(all_permutations(3))

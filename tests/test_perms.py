@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from blockperm import perms
 from blockperm.partitions import block_shuffles, set_partitions
 from blockperm.perms import (
     Permutation,
@@ -121,7 +122,29 @@ class TestWeakOrder:
             weak_leq(Permutation.identity(2), Permutation.identity(3))
 
 
+def shuffles_by_filter(p, q):
+    """Oracle: the permutations of S_{p+q} in lexicographic order that
+    increase on the first p and on the last q positions."""
+    return [
+        Permutation(w)
+        for w in itertools.permutations(range(1, p + q + 1))
+        if list(w[:p]) == sorted(w[:p]) and list(w[p:]) == sorted(w[p:])
+    ]
+
+
 class TestShuffles:
+    def test_match_filter_of_all_permutations(self):
+        for n in range(8):
+            for p in range(n + 1):
+                assert shuffles(p, n - p) == shuffles_by_filter(p, n - p)
+
+    def test_filter_catches_a_dropped_interleaving(self, monkeypatch):
+        interleavings = perms._interleavings
+        monkeypatch.setattr(perms, "_interleavings", lambda u, v: interleavings(u, v)[:-1])
+        for n in range(8):
+            for p in range(n + 1):
+                assert shuffles(p, n - p) != shuffles_by_filter(p, n - p)
+
     def test_one_one(self):
         assert set(shuffles(1, 1)) == {Permutation.identity(2), Permutation((2, 1))}
 
