@@ -415,7 +415,11 @@ def closure_from_generators(n: int) -> list[UBP]:
     s_i swaps the bottom labels at i and i + 1 (see :func:`_swapped`); a merge
     b_i goes through :func:`compose`.  Generators that cannot change x are
     skipped: s_i and b_i both fix x when ``x.bot[i - 1] == x.bot[i]``, since
-    positions i and i + 1 then lie in one codomain block."""
+    positions i and i + 1 then lie in one codomain block.  Otherwise s_i is
+    always applied, but b_i only when ``x.bot[i - 1] < x.bot[i]``: the swap
+    exchanges those two labels, so exactly one of x and s_i x has them in
+    ascending order, both are reached, and b_i x == b_i (s_i x) because
+    b_i s_i = b_i."""
     _check_ceiling(n)
     merges = [merge_generator(n, i) for i in range(1, n)]
     start = identity(n)
@@ -433,6 +437,8 @@ def closure_from_generators(n: int) -> list[UBP]:
                 if rows not in seen:
                     seen.add(rows)
                     fresh.append(UBP._trusted(*rows))
+                if bot[i - 1] > bot[i]:
+                    continue
                 y = compose(b, x)
                 rows = (y.top, y.bot)
                 if rows not in seen:

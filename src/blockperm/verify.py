@@ -181,7 +181,7 @@ def check_counts_enumeration(limit: int) -> str:
         if len(set(enum)) != len(enum):
             return _fail(f"n={n}: duplicates in enumeration")
         closure = closure_from_generators(n)
-        if set(closure) != set(enum):
+        if closure != enum:
             return _fail(f"n={n}: closure has {len(closure)} elements")
     return f"checked n <= {limit}"
 

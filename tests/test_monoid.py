@@ -288,12 +288,16 @@ class TestCompose:
             assert compose(f, identity(3)) == f
 
     def test_merge_absorbs_swap(self):
-        for n in range(2, 5):
+        # b_i (s_i x) == b_i x on every x lets the closure merge only one of
+        # x and s_i x; s_i is built here, not by swapping rows as there.
+        for n in range(2, 6):
             for i in range(1, n):
                 s = transposition_generator(n, i)
                 b = merge_generator(n, i)
                 assert compose(b, s) == b
                 assert compose(s, b) == b
+                for x in enumerate_ubp(n):
+                    assert compose(b, compose(s, x)) == compose(b, x)
 
     def test_adjacent_merges_chain(self):
         b1 = merge_generator(3, 1)
@@ -611,8 +615,10 @@ class TestEnumeration:
             assert closure == enumerate_ubp(n)
             assert all(revalidated(h) == h for h in closure)
 
-    def test_closure_composes_only_merges_that_change_x(self, monkeypatch):
-        # b_i . x == x exactly when i and i + 1 share a codomain block of x.
+    def test_closure_composes_only_merges_on_ascents(self, monkeypatch):
+        # b_i . x == x exactly when i and i + 1 share a codomain block of x,
+        # and b_i . x == b_i . (s_i . x) otherwise, so only the one of x and
+        # s_i . x whose labels at i and i + 1 ascend is merged.
         calls = []
 
         def counted(g, f):
@@ -621,12 +627,13 @@ class TestEnumeration:
             return h
 
         monkeypatch.setattr(monoid, "compose", counted)
-        for n in range(6):
+        for n in range(7):
             calls.clear()
             closure = closure_from_generators(n)
             assert all((h.top, h.bot) != (f.top, f.bot) for f, h in calls)
-            changing = sum(x.bot[i - 1] != x.bot[i] for x in closure for i in range(1, n))
-            assert len(calls) == changing
+            ascents = sum(x.bot[i - 1] < x.bot[i] for x in closure for i in range(1, n))
+            assert len(calls) == ascents
+        assert len(calls) == 47355
 
     def test_sort_key_matches_fibres(self):
         for n in range(6):

@@ -235,6 +235,16 @@ def test_broken_weak_order_is_caught(monkeypatch, broken, detail):
     )
 
 
+def test_closure_out_of_order_is_caught(monkeypatch):
+    closure = verify.closure_from_generators
+    monkeypatch.setattr(verify, "closure_from_generators", lambda n: closure(n)[::-1])
+    assert verify.check_counts_enumeration(5) == verify.Check(
+        "counts: enumeration and generator closure match the formula",
+        False,
+        "n=2: closure has 3 elements",
+    )
+
+
 def test_block_shuffles_missing_the_identity_are_caught(monkeypatch):
     shuffles = verify.block_shuffles
     monkeypatch.setattr(
