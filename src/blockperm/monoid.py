@@ -407,45 +407,56 @@ def monoid_generators(n: int) -> list[UBP]:
 
 
 def closure_from_generators(n: int) -> list[UBP]:
-    """Breadth-first closure of the transposition and merge generators under
-    composition; equals enumerate_ubp(n), in the same order.
+    """The closure of the identity under the transpositions s_i and the
+    merges b_i, found by reverse search; equals enumerate_ubp(n), in the same
+    order.
 
-    The search runs on label rows: the seen set holds ``(top, bot)`` pairs,
-    and an element is built only for rows not seen before.  A transposition
-    s_i swaps the bottom labels at i and i + 1 (see :func:`_swapped`); a merge
-    b_i goes through :func:`compose`.  Generators that cannot change x are
-    skipped: s_i and b_i both fix x when ``x.bot[i - 1] == x.bot[i]``, since
-    positions i and i + 1 then lie in one codomain block.  Otherwise s_i is
-    always applied, but b_i only when ``x.bot[i - 1] < x.bot[i]``: the swap
-    exchanges those two labels, so exactly one of x and s_i x has them in
-    ascending order, both are reached, and b_i x == b_i (s_i x) because
-    b_i s_i = b_i."""
+    Every x other than the identity has one *parent* y, with y.bot ascending
+    at some i (``y.bot[i - 1] < y.bot[i]``) and x == s_i y or x == b_i y:
+
+    * if x.bot has a descent, let i be the first; y = s_i x swaps the two
+      labels back (see :func:`_swapped`), so y ascends at i;
+    * otherwise x.bot is weakly increasing with a repeat, as only the
+      identity has distinct labels; let i be the first repeat, so x.bot[i - 1]
+      and x.bot[i] both read a label l whose codomain block starts at i.
+      y splits domain block l into its least element, sent to position i,
+      and the rest, sent to the rest of that codomain block.  The least
+      element keeps the smaller label, so y ascends at i, and b_i y == x.
+
+    Each step to a parent lowers (n - #blocks, inversions of bot)
+    lexicographically, so every chain of parents ends at the identity.  The
+    search starts there and from each y emits exactly the x whose parent is
+    y (Avis and Fukuda, Discrete Appl. Math. 65, 1996), so each element is
+    built once and nothing is looked up.  At an ascent i of y:
+
+    * s_i y is a child when i is the first descent of s_i y: y.bot[:i - 1]
+      is weakly increasing and, for i >= 2, y.bot[i - 2] <= y.bot[i];
+    * b_i y is a child when the label lo = y.bot[i - 1] occurs once in y.bot,
+      and writing lo for hi = y.bot[i] gives a weakly increasing row whose
+      first repeat is at i.  This is decided on the rows; only the B_n - 1
+      accepted merges go through :func:`compose`."""
     _check_ceiling(n)
     merges = [merge_generator(n, i) for i in range(1, n)]
-    start = identity(n)
-    seen = {(start.top, start.bot)}
-    found = [start]
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            top, bot = x.top, x.bot
-            for i, b in enumerate(merges, start=1):
-                if bot[i - 1] == bot[i]:
-                    continue
-                rows = (top, _swapped(bot, i))
-                if rows not in seen:
-                    seen.add(rows)
-                    fresh.append(UBP._trusted(*rows))
-                if bot[i - 1] > bot[i]:
-                    continue
-                y = compose(b, x)
-                rows = (y.top, y.bot)
-                if rows not in seen:
-                    seen.add(rows)
-                    fresh.append(y)
-        found += fresh
-        frontier = fresh
+    found = []
+    stack = [identity(n)]
+    while stack:
+        y = stack.pop()
+        found.append(y)
+        top, bot = y.top, y.bot
+        rising = True  # bot[:i] strictly increasing
+        for i in range(1, n):
+            lo, hi = bot[i - 1], bot[i]
+            if lo < hi:
+                if i < 2 or bot[i - 2] <= hi:
+                    stack.append(UBP._trusted(top, _swapped(bot, i)))
+                if rising and bot.count(lo) == 1:
+                    rest = [lo if v == hi else v for v in bot[i:]]
+                    if rest == sorted(rest):
+                        stack.append(compose(merges[i - 1], y))
+            else:
+                rising = False
+            if i >= 2 and bot[i - 2] > lo:
+                break  # bot[:i] has a descent: no child at i + 1 or later
     return sorted(found, key=UBP._sort_key)
 
 

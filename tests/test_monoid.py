@@ -288,8 +288,8 @@ class TestCompose:
             assert compose(f, identity(3)) == f
 
     def test_merge_absorbs_swap(self):
-        # b_i (s_i x) == b_i x on every x lets the closure merge only one of
-        # x and s_i x; s_i is built here, not by swapping rows as there.
+        # FitzGerald's relations b_i s_i = s_i b_i = b_i, and b_i (s_i x) ==
+        # b_i x for every x, with s_i built as a diagram.
         for n in range(2, 6):
             for i in range(1, n):
                 s = transposition_generator(n, i)
@@ -326,8 +326,9 @@ class TestCompose:
             compose(identity(2), identity(3))
 
     def test_fast_paths_match_general_route(self):
-        # Covers every transposition generator s_i, which the closure applies
-        # through left_compose_perm.
+        # Every permutation, so every block shuffle that left_compose_perm
+        # applies to build a weak-order component; the closure's row swap s_i
+        # is tested in TestTrustedProducers.test_swap_bottom_exhaustive.
         for n in range(5):
             for f in enumerate_ubp(n):
                 for sigma in all_permutations(n):
@@ -588,6 +589,27 @@ class TestTrustedProducers:
         self.check_inverse(f)
 
 
+def lemma_parent(x):
+    """(i, g, y) with y the parent of x != id in the closure's reverse search
+    and g = s_i or b_i the generator with g . y == x, built from arrows.
+
+    If x.bot has a descent, i is the first and y exchanges positions i and
+    i + 1 in x's image blocks.  Otherwise i is the first repeat of x.bot; the
+    image block starting at i is split with its domain block, the least
+    element going to i and the rest to the rest."""
+    n, bot = x.n, x.bot
+    for i in range(1, n):
+        if bot[i - 1] > bot[i]:
+            swap = {i: i + 1, i + 1: i}
+            moved = [(dom, tuple(sorted(swap.get(p, p) for p in cod))) for dom, cod in arrows(x)]
+            return i, transposition_generator(n, i), from_block_images(n, moved)
+    i = next(i for i in range(1, n) if bot[i - 1] == bot[i])
+    split = []
+    for dom, cod in arrows(x):
+        split += [(dom[:1], cod[:1]), (dom[1:], cod[1:])] if cod[0] == i else [(dom, cod)]
+    return i, merge_generator(n, i), from_block_images(n, split)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 3), (3, 16), (4, 131)])
     def test_counts(self, n, count):
@@ -609,16 +631,17 @@ class TestEnumeration:
         }
 
     def test_closure_matches(self):
-        # As lists: the same elements in the same canonical order.
+        # As lists: the same elements in the same canonical order, each once.
         for n in range(7):
             closure = closure_from_generators(n)
             assert closure == enumerate_ubp(n)
+            assert len({(h.top, h.bot) for h in closure}) == len(closure)
             assert all(revalidated(h) == h for h in closure)
 
-    def test_closure_composes_only_merges_on_ascents(self, monkeypatch):
-        # b_i . x == x exactly when i and i + 1 share a codomain block of x,
-        # and b_i . x == b_i . (s_i . x) otherwise, so only the one of x and
-        # s_i . x whose labels at i and i + 1 ascend is merged.
+    def test_closure_composes_once_per_merge_child(self, monkeypatch):
+        # The merge children are the diagrams other than the identity with a
+        # weakly increasing bottom row, one per domain partition: B_n - 1 of
+        # them.  Each is accepted on the rows before compose is called.
         calls = []
 
         def counted(g, f):
@@ -630,10 +653,27 @@ class TestEnumeration:
         for n in range(7):
             calls.clear()
             closure = closure_from_generators(n)
+            assert len(calls) == len(set_partitions(n)) - 1
             assert all((h.top, h.bot) != (f.top, f.bot) for f, h in calls)
-            ascents = sum(x.bot[i - 1] < x.bot[i] for x in closure for i in range(1, n))
-            assert len(calls) == ascents
-        assert len(calls) == 47355
+            assert all(lemma_parent(h)[2] == f for f, h in calls)
+            rising = {x for x in closure if list(x.bot) == sorted(x.bot)} - {identity(n)}
+            assert {h for _, h in calls} == rising
+        assert len(calls) == 202
+
+    def test_every_diagram_has_a_parent_one_step_below(self):
+        # The lemma behind the closure's reverse search, diagram by diagram.
+        def measure(f):
+            inversions = sum(a > b for a, b in itertools.combinations(f.bot, 2))
+            return f.n - len(f.domain.blocks), inversions
+
+        for n in range(1, 7):
+            others = iter(enumerate_ubp(n))
+            assert next(others) == identity(n)
+            for x in others:
+                i, generator, y = lemma_parent(x)
+                assert y.bot[i - 1] < y.bot[i]
+                assert compose(generator, y) == x
+                assert measure(y) < measure(x)
 
     def test_sort_key_matches_fibres(self):
         for n in range(6):

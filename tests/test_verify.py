@@ -245,6 +245,28 @@ def test_closure_out_of_order_is_caught(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        (lambda c: c[:5] + c[4:], "n=3: closure has 17 elements"),
+        (lambda c: c[:4] + c[5:], "n=3: closure has 15 elements"),
+        # The right length is not enough: one element stands in for another.
+        (lambda c: c[:5] + c[4:-1], "n=3: closure has 16 elements"),
+    ],
+    ids=["one-duplicated", "one-dropped", "one-duplicated-one-dropped"],
+)
+def test_closure_with_a_duplicate_or_a_gap_is_caught(monkeypatch, fault, detail):
+    # A tree search emits a diagram twice if two parents claim it, and never
+    # if none does; a merge rule without its singleton condition does the first.
+    closure = verify.closure_from_generators
+    monkeypatch.setattr(
+        verify, "closure_from_generators", lambda n: fault(closure(n)) if n == 3 else closure(n)
+    )
+    assert verify.check_counts_enumeration(5) == verify.Check(
+        "counts: enumeration and generator closure match the formula", False, detail
+    )
+
+
 def test_block_shuffles_missing_the_identity_are_caught(monkeypatch):
     shuffles = verify.block_shuffles
     monkeypatch.setattr(
