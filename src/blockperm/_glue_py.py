@@ -8,14 +8,22 @@ assigned in order of first appearance along the top row, which makes the
 pair usable directly as a hash/equality key.  It is the representation of
 :class:`blockperm.monoid.UniformBlockPermutation`.
 
-Gluing f's bottom row to g's top row needs no union-find: every component
-of g meets the middle row, so it joins one class of f's components, and a
-component of g that meets two classes merges them.  The kernel therefore
+Which blocks of g.f merge is decided by the middle rows alone, f's bottom
+row glued to g's top row; the outer rows, f's top and g's bottom, are only
+relabelled.  So the kernel works out a *glue plan* once per pair of middle
+rows (kept in a bounded per-process cache) and each composition maps its
+outer rows through it.  The plan needs no union-find: every component of g
+meets the middle row, so it joins one class of f's components, and a
+component of g that meets two classes merges them.  The plan therefore
 tracks classes of f-labels only, and when no classes merge the composite's
 top row is f's top row unchanged.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+from blockperm.partitions import ROW_CACHE_SIZE
 
 
 def canonical_labels(top, bot):
@@ -34,10 +42,8 @@ def glue_labels(ftop, fbot, gtop, gbot):
     top row of g.
 
     Returns the canonical label rows of the composite: the top row is read
-    from f's top, the bottom row from g's bottom.  One pass over the middle
-    row records, for each g-label, the class of f-labels it is glued to; a
-    g-label glued to a second class merges the two.  Without a merge both
-    rows are read off directly.
+    from f's top through the glue plan of the middle rows, the bottom row
+    from g's bottom.  When no blocks merge, the top row is ``ftop`` itself.
 
     Two merges at n = 3 (b_1 then b_2) join everything into one block:
 
@@ -49,7 +55,23 @@ def glue_labels(ftop, fbot, gtop, gbot):
     >>> glue_labels((0, 0, 1), (0, 0, 1), (0, 1, 2), (1, 0, 2))
     ((0, 0, 1), (0, 0, 1))
     """
-    n = len(ftop)
+    cls, via = _glue_plan(fbot, gtop)
+    bot = tuple(map(via.__getitem__, gbot))
+    if cls is None:
+        return ftop, bot
+    return tuple(map(cls.__getitem__, ftop)), bot
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _glue_plan(fbot, gtop):
+    """(cls, via) for gluing f's bottom row to g's top row: ``cls[a]`` is the
+    composite's label of f-label a, or cls is None when no classes merge and
+    f's labels stand; ``via[b]`` is the composite's label of g-label b.
+
+    One pass over the middle row records, for each g-label, the class of
+    f-labels it is glued to; a g-label glued to a second class merges the
+    two."""
+    n = len(fbot)
     # cls[a] is the smallest f-label in a's class; via[b] the class glued to
     # g-label b, or -1 before its first vertex is met.
     cls = list(range(n))
@@ -70,7 +92,7 @@ def glue_labels(ftop, fbot, gtop, gbot):
                 if r == hi:
                     via[x] = lo
     if not merged:
-        return ftop, tuple(map(via.__getitem__, gbot))
+        return None, tuple(via)
     # f's labels first appear along its top row in the order 0, 1, ..., so a
     # class first appears at its smallest label: number the classes in that
     # order, over the f-labels rather than over positions.
@@ -81,7 +103,5 @@ def glue_labels(ftop, fbot, gtop, gbot):
             k += 1
         else:
             cls[x] = cls[r]
-    return (
-        tuple(map(cls.__getitem__, ftop)),
-        tuple(map(cls.__getitem__, map(via.__getitem__, gbot))),
-    )
+    # Entries of via past g's labels were never set, and are never read.
+    return tuple(cls), tuple(map(cls.__getitem__, via))

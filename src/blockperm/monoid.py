@@ -83,10 +83,15 @@ class UniformBlockPermutation:
     :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
     :func:`concat`, :func:`_shuffled`, :func:`diagram_inverse` and :func:`_cut`,
     whose rows are canonical and uniform by construction from valid elements:
-    the glue kernel and ``canonical_labels`` number labels by first
-    appearance along the top row, and permuting the bottom row or shifting
-    the labels of a right-hand factor keeps both rows canonical with equal
-    label counts.  So every value in circulation is uniform.
+    the glue kernel and ``canonical_labels`` (cached per bottom row for
+    :func:`diagram_inverse`) number labels by first appearance along the top
+    row, and permuting the bottom row or shifting the labels of a right-hand
+    factor keeps both rows canonical with equal label counts.  So every value
+    in circulation is uniform.  In the same way :attr:`domain`,
+    :attr:`codomain` and :func:`blockperm.partitions.partition_action` build
+    their partitions with ``SetPartition._trusted``: the fibres of a valid
+    row, and the image of a valid partition under a permutation, are
+    partitions already.
 
     Elements sort as the tuple ``(domain, codomain, block_map)``, where
     ``block_map[k]`` is the index, in canonical block order of the codomain,
@@ -114,8 +119,8 @@ class UniformBlockPermutation:
         """The element with rows known to be canonical and uniform, built
         without validation; never call it on rows from outside the package."""
         self = object.__new__(cls)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bot", bot)
+        _set_top(self, top)  # the slot descriptors skip the frozen __setattr__
+        _set_bot(self, bot)
         return self
 
     def __reduce__(self):
@@ -147,12 +152,12 @@ class UniformBlockPermutation:
     @property
     def domain(self) -> SetPartition:
         key = self._sort_key()
-        return SetPartition(key[0], key[1])
+        return SetPartition._trusted(key[0], key[1])
 
     @property
     def codomain(self) -> SetPartition:
         key = self._sort_key()
-        return SetPartition(key[0], key[2])
+        return SetPartition._trusted(key[0], key[2])
 
     @property
     def block_map(self) -> tuple[int, ...]:
@@ -184,6 +189,8 @@ class UniformBlockPermutation:
 
 
 UBP = UniformBlockPermutation
+_set_top = UBP.top.__set__
+_set_bot = UBP.bot.__set__
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -342,7 +349,16 @@ def diagram_inverse(f: UBP) -> UBP:
     This is the unique inverse-monoid partner of f: f.finv.f == f and
     finv.f.finv == finv; on permutations it is the group inverse.
     """
-    return UBP._trusted(*canonical_labels(f.bot, f.top))
+    top, renumber = _first_appearance(f.bot)
+    return UBP._trusted(top, tuple(map(renumber.__getitem__, f.top)))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _first_appearance(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the row with its labels renumbered by first appearance, the
+    renumbering as a tuple indexed by old label); for a bottom row these are
+    the inverse's top row and the map that relabels the old top row."""
+    return canonical_labels(row, range(len(set(row))))
 
 
 def concat(f: UBP, g: UBP) -> UBP:

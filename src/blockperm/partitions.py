@@ -21,10 +21,15 @@ from typing import Iterable
 
 from blockperm.perms import _INT, Permutation, _interleavings
 
-# Label rows and blocks whose fibres, codomain keys and texts are kept per
-# process.  Degree 6 has 203 distinct top rows, 4,683 distinct bottom rows
-# and 63 blocks, so a closure or a full enumeration up to degree 6 evicts
-# none, and a long-lived process stays bounded.
+# Label rows and blocks whose fibres, codomain keys, first-appearance
+# renumberings and texts are kept per process, and pairs of middle rows whose
+# glue plans are kept.  Degree 6 has 203 distinct top rows, 4,683 distinct
+# bottom rows and 63 blocks, so a closure or a full enumeration up to degree
+# 6 evicts no row.  Degree 4 has at most 75 x 15 = 1,125 pairs of middle rows
+# (a bottom row by a top row), so `verify --max-n 4` fills 1,198 glue plans
+# counting lower degrees; degree 5 has 541 x 52 = 28,132 pairs, so there the
+# bound evicts, which costs only recomputed plans.  A long-lived process
+# stays bounded.
 ROW_CACHE_SIZE = 8192
 
 
@@ -35,6 +40,20 @@ class SetPartition:
 
     def __post_init__(self):
         _validate_blocks(self.n, self.blocks)
+
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """The partition with blocks known to be canonical, built without
+        validation; never call it on blocks from outside the package."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["n"] = n
+        fields["blocks"] = blocks
+        return self
+
+    def __reduce__(self):
+        # Pickle the fields and validate them again on loading.
+        return (type(self), (self.n, self.blocks))
 
     @staticmethod
     def from_blocks(n: int, raw_blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -171,7 +190,10 @@ def partition_action(sigma: Permutation, a: SetPartition) -> SetPartition:
     """Image partition with blocks {sigma(i) : i in block}; preserves type."""
     if sigma.n != a.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {a.n}")
-    return SetPartition.from_blocks(a.n, [[sigma(i) for i in b] for b in a.blocks])
+    images = sigma.images
+    # The images of disjoint blocks are disjoint, so they sort by their minima.
+    blocks = sorted(tuple(sorted([images[i - 1] for i in b])) for b in a.blocks)
+    return SetPartition._trusted(a.n, tuple(blocks))
 
 
 def meet(a: SetPartition, b: SetPartition) -> SetPartition:

@@ -39,6 +39,10 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
 
+    def __reduce__(self):
+        # Pickle the images and validate them again on loading.
+        return (type(self), (self.images,))
+
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))

@@ -8,13 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockperm import monoid
+from blockperm import _glue_py, monoid
+from blockperm._glue_py import canonical_labels
 from blockperm.monoid import (
     ROW_CACHE_SIZE,
     EnumerationCeilingError,
     UniformBlockPermutation,
     _codomain_key,
     _fibres,
+    _first_appearance,
     _swapped,
     breaking_points,
     closure_from_generators,
@@ -588,6 +590,24 @@ class TestTrustedProducers:
     def test_diagram_inverse_up_to_degree_8(self, f):
         self.check_inverse(f)
 
+    def test_diagram_inverse_relabels_by_first_appearance(self):
+        # The cached renumbering of the bottom row against the definition:
+        # both rows relabelled by first appearance along the old bottom row.
+        for n in range(6):
+            for f in enumerate_ubp(n):
+                h = diagram_inverse(f)
+                assert (h.top, h.bot) == canonical_labels(f.bot, f.top)
+
+    def test_domain_and_codomain_match_validated_partitions(self):
+        # .domain and .codomain build their partitions without validation.
+        for n in range(6):
+            for f in enumerate_ubp(n):
+                for side, row in ((f.domain, f.top), (f.codomain, f.bot)):
+                    fibres = [[i for i, x in enumerate(row, 1) if x == label] for label in set(row)]
+                    expected = SetPartition.from_blocks(n, fibres)
+                    assert side == expected and hash(side) == hash(expected)
+                    assert side.blocks == expected.blocks and SetPartition(n, side.blocks) == side
+
 
 def lemma_parent(x):
     """(i, g, y) with y the parent of x != id in the closure's reverse search
@@ -689,13 +709,15 @@ class TestEnumeration:
         workloads = importlib.import_module("workloads")
         f = UniformBlockPermutation((0, 1, 0), (1, 0, 0))
         f._sort_key()  # a fresh key fills both row caches
-        str(f)  # and printing fills the block cache
-        caches = (_fibres, _codomain_key, _block_text)
+        str(f)  # printing fills the block cache
+        compose(f, f)  # composing fills the glue plans
+        diagram_inverse(f)  # and inverting the renumberings
+        caches = (_fibres, _codomain_key, _block_text, _glue_py._glue_plan, _first_appearance)
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize == ROW_CACHE_SIZE and 0 < info.currsize <= ROW_CACHE_SIZE
         workloads.clear_caches()
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
     def test_sort_key_orders_as_lt(self):
         xs = enumerate_ubp(5)

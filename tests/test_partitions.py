@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 import tracemalloc
 
@@ -21,6 +22,7 @@ from blockperm.partitions import (
     set_partitions,
 )
 from blockperm.perms import Permutation, all_permutations
+from test_perms import tampered
 
 
 def bell_by_growth_strings(n):
@@ -92,6 +94,22 @@ class TestConstruction:
             make(2, blocks)
 
     @pytest.mark.parametrize(
+        "blocks, match",
+        [
+            (((1, 2), (2, 3)), "appears in two blocks"),
+            (((1,), (2, 4)), "out of range"),
+            (((1, 3),), "element 2 missing"),
+            (((2,), (1, 3)), "canonical order"),
+            (((1, 3, 2),), "not strictly increasing"),
+            (((1, 2, 3), ()), "empty block"),
+        ],
+        ids=["overlap", "range", "missing", "order", "unsorted", "empty"],
+    )
+    def test_constructor_rejects_bad_blocks(self, blocks, match):
+        with pytest.raises(ValueError, match=match):
+            SetPartition(3, blocks)
+
+    @pytest.mark.parametrize(
         "n, blocks",
         [(2.0, ((1,), (2,))), (True, ((1,),)), (-1, ()), ("2", ((1,), (2,))), (None, ())],
         ids=["float", "bool", "negative", "str", "none"],
@@ -102,6 +120,30 @@ class TestConstruction:
         message = f"partition size {re.escape(repr(n))} is not a non-negative int"
         with pytest.raises(ValueError, match=message):
             make(n, blocks)
+
+
+class TestPickle:
+    """Unpickling validates, as the constructor does."""
+
+    def test_round_trip(self):
+        for n in range(5):
+            for a in set_partitions(n):
+                assert pickle.loads(pickle.dumps(a)) == a
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            (2, 5, "element 3 missing"),
+            (2, 2.0, "partition size 2.0"),
+            (((1,), (2,)), ((2,), (1,)), "canonical order"),
+            (((1,), (2,)), ((1, 2), (2,)), "two blocks"),
+            (((1,), (2,)), [(1,), (2,)], "tuple of tuples"),
+        ],
+        ids=["size", "float-size", "order", "overlap", "list"],
+    )
+    def test_tampered_fields_rejected(self, old, new, match):
+        with pytest.raises((ValueError, TypeError), match=match):
+            tampered(SetPartition(2, ((1,), (2,))), old, new)
 
 
 class TestEnumeration:
@@ -169,6 +211,16 @@ class TestAction:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
             partition_action(Permutation.identity(3), set_partitions(2)[0])
+
+    def test_matches_validated_construction(self):
+        # partition_action builds its result without validation.
+        for n in range(5):
+            for a in set_partitions(n):
+                for s in all_permutations(n):
+                    b = partition_action(s, a)
+                    expected = SetPartition.from_blocks(n, [[s(i) for i in blk] for blk in a.blocks])
+                    assert b == expected and hash(b) == hash(expected)
+                    assert b.blocks == expected.blocks and SetPartition(b.n, b.blocks) == b
 
 
 class TestLattice:

@@ -1,4 +1,6 @@
+import copyreg
 import itertools
+import pickle
 import re
 
 import pytest
@@ -24,6 +26,56 @@ def inversion_set(sigma):
         for j in range(i + 1, sigma.n + 1)
         if sigma(i) > sigma(j)
     }
+
+
+class _Reduced:
+    """Pickles as the given ``__reduce__`` value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        return self.value
+
+
+def _new(cls, *args):
+    """copyreg.__newobj__ under a name pickle does not check against the
+    pickled object's class."""
+    return cls.__new__(cls, *args)
+
+
+def tampered(value, old, new):
+    """A pickle round trip of value with each of its fields or constructor
+    arguments that equals old replaced by new, whichever way value pickles."""
+    func, args, *rest = value.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    if func is copyreg.__newobj__:
+        func = _new
+
+    def swap(x):
+        return new if type(x) is type(old) and x == old else x
+
+    rest = [{k: swap(v) for k, v in r.items()} if isinstance(r, dict) else r for r in rest]
+    return pickle.loads(pickle.dumps(_Reduced((func, tuple(map(swap, args)), *rest))))
+
+
+class TestPickle:
+    """Unpickling validates, as the constructor does."""
+
+    def test_round_trip(self):
+        for p in all_permutations(3):
+            assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_valid_tampering_loads(self):
+        assert tampered(Permutation((2, 1)), (2, 1), (1, 2)) == Permutation((1, 2))
+
+    @pytest.mark.parametrize(
+        "images, match",
+        [((2, 2), "not a permutation"), ((2, 1.0), "not an int"), ([2, 1], "must be a tuple")],
+        ids=["repeat", "float", "list"],
+    )
+    def test_tampered_images_rejected(self, images, match):
+        with pytest.raises((ValueError, TypeError), match=match):
+            tampered(Permutation((2, 1)), (2, 1), images)
 
 
 class TestBasics:
