@@ -31,10 +31,6 @@ class LinearCombination:
         self.terms = data
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def basis(cls, key, coeff: int = 1):
         return cls({key: coeff})
 

@@ -78,7 +78,7 @@ class UniformBlockPermutation:
     Domain blocks are numbered in canonical order, so labels first appear
     along ``top`` in increasing order.  The constructor validates the rows,
     and so does every path that takes rows from outside the package
-    (:func:`from_labels`, the parsers, :func:`ubp_from_json`, unpickling).
+    (:func:`from_labels`, the parsers, unpickling).
     Only :meth:`_trusted` skips the check.  Its callers are the producers
     :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
     :func:`concat`, :func:`_shuffled`, :func:`diagram_inverse` and :func:`_cut`,
@@ -162,10 +162,6 @@ class UniformBlockPermutation:
     @property
     def block_map(self) -> tuple[int, ...]:
         return self._sort_key()[3]
-
-    def image_block(self, k: int) -> tuple[int, ...]:
-        key = self._sort_key()
-        return key[2][key[3][k]]
 
     def is_permutation(self) -> bool:
         """True iff all blocks are singletons."""
@@ -697,41 +693,3 @@ def ubp_to_json(f: UBP) -> dict:
         "images": [list(b) for b in images],
         "map": list(block_map),
     }
-
-
-def ubp_from_json(data: dict) -> UBP:
-    """Inverse of :func:`ubp_to_json`.  Every number must be an int: JSON
-    reads 1.0 as a float and true as a bool, and both are refused."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a diagram in JSON form is an object, not {type(data).__name__}")
-    for key in ("n", "blocks", "images", "map"):
-        if key not in data:
-            raise ValueError(f"a diagram in JSON form needs the key {key!r}")
-    n, block_map = data["n"], data["map"]
-    lists = (list, tuple)
-    for key in ("blocks", "images"):
-        if not (isinstance(data[key], lists) and all(isinstance(b, lists) for b in data[key])):
-            raise ValueError(f"{key!r} holds {data[key]!r}, which is not a list of lists")
-    if not isinstance(block_map, lists):
-        raise ValueError(f"'map' holds {block_map!r}, which is not a list")
-    for key, values in (
-        ("n", [n]),
-        ("blocks", [i for block in data["blocks"] for i in block]),
-        ("images", [i for block in data["images"] for i in block]),
-        ("map", block_map),
-    ):
-        for value in values:
-            if type(value) is not int:
-                raise ValueError(f"{key!r} holds {value!r}, which is not an int")
-    domain = SetPartition.from_blocks(n, data["blocks"])
-    codomain = SetPartition.from_blocks(n, data["images"])
-    if len(block_map) != domain.num_blocks or sorted(block_map) != list(
-        range(codomain.num_blocks)
-    ):
-        raise ValueError(
-            f"block map {tuple(block_map)!r} is not a bijection from "
-            f"{domain.num_blocks} domain blocks onto {codomain.num_blocks}"
-        )
-    # Domain block k goes onto codomain block block_map[k]; preimage inverts it.
-    preimage = sorted(range(len(block_map)), key=block_map.__getitem__)
-    return UBP(domain.position_labels(), tuple(preimage[j] for j in codomain.position_labels()))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 from blockperm._linear import LinearCombination, parse_terms
 from blockperm.hopf import Element, domain_class_sum
@@ -50,14 +49,6 @@ class NCSymTensor(LinearCombination):
     @staticmethod
     def term_str(key) -> str:
         return f"p{key[0]} (x) p{key[1]}"
-
-
-def kernel(word: Sequence[int]) -> SetPartition:
-    """Partition of the positions of a word by equal letters."""
-    fibers: dict[int, list[int]] = {}
-    for pos, letter in enumerate(word, start=1):
-        fibers.setdefault(letter, []).append(pos)
-    return SetPartition.from_blocks(len(word), fibers.values())
 
 
 def power_sum_words(a: SetPartition, alphabet_size: int) -> list[Word]:

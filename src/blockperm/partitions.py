@@ -6,8 +6,7 @@ equality and hash key, and the text form prints it byte-exactly, e.g.
 ``{1,3}{2,5,7}{4}{6,8}`` (the empty partition of n = 0 prints as ``{}``).
 
 The order on partitions used throughout: ``A <= B`` iff every block of B is
-contained in a block of A, i.e. coarser partitions are smaller.  See
-:func:`refines_leq`.
+contained in a block of A, i.e. coarser partitions are smaller.
 """
 
 from __future__ import annotations
@@ -198,8 +197,8 @@ def partition_action(sigma: Permutation, a: SetPartition) -> SetPartition:
 
 def meet(a: SetPartition, b: SetPartition) -> SetPartition:
     """Finest partition coarser than both: connected components of the union
-    of the two block graphs.  This is the lattice meet for the order of
-    refines_leq (coarser = smaller)."""
+    of the two block graphs.  This is the lattice meet for the order on
+    partitions (coarser = smaller)."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     parent = list(range(a.n + 1))
@@ -219,16 +218,6 @@ def meet(a: SetPartition, b: SetPartition) -> SetPartition:
     for i in range(1, a.n + 1):
         groups.setdefault(find(i), []).append(i)
     return SetPartition.from_blocks(a.n, groups.values())
-
-
-def refines_leq(a: SetPartition, b: SetPartition) -> bool:
-    """True iff every block of b is contained in a block of a (a <= b)."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    labels = a.position_labels()
-    return all(
-        all(labels[i - 1] == labels[block[0] - 1] for i in block) for block in b.blocks
-    )
 
 
 def restrict_standardize(a: SetPartition, block_indices: Iterable[int]) -> SetPartition:

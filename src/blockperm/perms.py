@@ -10,7 +10,8 @@ Conventions used by the whole package:
   products) rather than assumed; with inversions of the inverse permutation
   the same battery fails.
 
-Text form is the bracketed one-line word, e.g. ``[2,3,1]``.
+Permutations print as the bracketed one-line word, e.g. ``[2,3,1]``; no
+reader parses that form.
 """
 
 from __future__ import annotations
@@ -65,17 +66,6 @@ class Permutation:
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
         return Permutation(tuple(inv))
-
-    def inversions(self) -> set[tuple[int, int]]:
-        """Pairs of positions (i, j), i < j, mapped out of order."""
-        ims = self.images
-        n = self.n
-        return {
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if ims[i - 1] > ims[j - 1]
-        }
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
@@ -170,25 +160,3 @@ def max_shuffle(p: int, q: int) -> Permutation:
     if p < 0 or q < 0:
         raise ValueError("shuffle sizes must be non-negative")
     return Permutation(tuple(range(q + 1, q + p + 1)) + tuple(range(1, q + 1)))
-
-
-def parse_permutation(text: str) -> Permutation:
-    """Parse the bracketed one-line form, e.g. "[2,3,1]" or "[]".
-
-    Non-canonical but otherwise valid input is rejected with the canonical
-    spelling in the error message.
-    """
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"permutation must be bracketed one-line form: {text!r}")
-    body = s[1:-1]
-    if not body:
-        return Permutation(())
-    try:
-        images = tuple(int(tok) for tok in body.split(","))
-    except ValueError:
-        raise ValueError(f"bad permutation entry in {text!r}") from None
-    result = Permutation(images)
-    if str(result) != s:
-        raise ValueError(f"non-canonical permutation {text!r}; canonical form is {result}")
-    return result

@@ -250,23 +250,6 @@ def _group_map(
     return targets, exponents
 
 
-def group_action_matrix(g: GroupElement, m: int, r: int, n: int) -> ActionMatrix:
-    """Diagonal left action on words: permute letters coordinate-wise and
-    multiply by the root power accumulated over the letters."""
-    if g.perm.n != m:
-        raise ValueError(f"group element lives on {g.perm.n} coordinates, not {m}")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    dim = _check_dim(m, n)
-    targets, exponents = _group_map(g, tensor_words(m, n), m)
-    out = ActionMatrix(dim)
-    out.rows = {
-        i: {j: CyclotomicInteger.root_power(r, e)}
-        for i, (j, e) in enumerate(zip(targets, exponents))
-    }
-    return out
-
-
 def group_generators(m: int) -> list[GroupElement]:
     """One torus generator per coordinate plus the adjacent transpositions."""
     gens = []
@@ -324,12 +307,6 @@ def _commutes(a: list[int], b: list[int], e: list[int], r: int) -> bool:
         elif b[ak] != a[b[k]] or (e[ak] - e[k]) % r:
             return False
     return True
-
-
-def commutation_check(n: int, m: int, r: int) -> bool:
-    """True iff every monoid generator matrix commutes with every group
-    generator matrix on the degree-n tensor space."""
-    return all(commutes for _, _, commutes in commutation_pairs(n, m, r))
 
 
 def exact_sparse_rank(rows: Iterable[dict[int, int]]) -> int:

@@ -2,11 +2,13 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import blockperm
+from blockperm import verify
 
 MODULES = [
     importlib.import_module(f"blockperm.{info.name}")
@@ -97,3 +99,102 @@ def test_unused_import_rule():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PACKAGE_DIR = Path(blockperm.__file__).parent
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+# Public names that nothing outside their own definition names, each kept on
+# purpose.  The perfbench tracer times CyclotomicInteger.__mul__, so the class
+# stays whole until that target is retired.
+UNCALLED_KEPT = {
+    "blockperm.schurweyl.CyclotomicInteger.root_power": "kept with its class for the tracer",
+    "blockperm.schurweyl.CyclotomicInteger.zero": "kept with its class for the tracer",
+}
+
+
+def named_identifiers(source: str):
+    """(identifier, line) for each name the source uses: names, attributes,
+    imported names, and every part of a string that is wholly a dotted path,
+    such as the tracer target "CyclotomicInteger.__mul__".  Definitions,
+    comments and prose in docstrings name nothing."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and DOTTED_PATH.fullmatch(node.value)
+        ):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def test_named_identifiers():
+    source = (
+        '"""Calls kernel(word)."""\n'
+        "from blockperm.monoid import compose as glue\n"
+        "def kernel(word):\n    return glue(word).top\n"
+        'TARGET = ("blockperm.schurweyl", "CyclotomicInteger.__mul__", "not a path")\n'
+    )
+    # kernel is only defined and mentioned in prose, so it is not named.
+    assert {name for name, _ in named_identifiers(source)} == {
+        "compose", "glue", "word", "top", "TARGET",
+        "blockperm", "schurweyl", "CyclotomicInteger", "__mul__",
+    }
+
+
+def _public_definitions():
+    """(qualified name, object) for every public class, function and method
+    defined in a blockperm module, once each; dunders are not public."""
+    seen = {}
+    classes = [
+        obj
+        for module in MODULES
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    ]
+    for obj in [*classes, *(fn for _, fn in _callables())]:
+        qualname = f"{obj.__module__}.{obj.__qualname__}"
+        if not any(part.startswith("_") for part in obj.__qualname__.split(".")):
+            seen[qualname] = obj
+    return sorted(seen.items())
+
+
+def test_every_public_name_has_a_caller():
+    # A name counts as called when some package module or non-test perfbench
+    # file names it outside its own definition; checks in verify.SUITES are
+    # called through their suite.  Names are matched by their last part, so
+    # passing is necessary, not sufficient.
+    occurrences: dict[str, list[tuple[Path, int]]] = {}
+    paths = [
+        *sorted(PACKAGE_DIR.glob("*.py")),
+        *sorted(p for p in PERFBENCH_DIR.glob("*.py") if not p.name.startswith("test_")),
+    ]
+    for path in paths:
+        for name, line in named_identifiers(path.read_text()):
+            occurrences.setdefault(name, []).append((path.resolve(), line))
+    registered = {check for checks in verify.SUITES.values() for check in checks}
+    uncalled = []
+    for qualname, obj in _public_definitions():
+        if obj in registered:
+            continue
+        source = Path(inspect.getsourcefile(obj)).resolve()
+        lines, start = inspect.getsourcelines(obj)
+        outside = [
+            (path, line)
+            for path, line in occurrences.get(qualname.rsplit(".", 1)[1], [])
+            if path != source or not start <= line < start + len(lines)
+        ]
+        if not outside:
+            uncalled.append(qualname)
+    unexpected = sorted(set(uncalled) - UNCALLED_KEPT.keys())
+    assert not unexpected, f"public names with no caller: {unexpected}"
+    stale = sorted(UNCALLED_KEPT.keys() - set(uncalled))
+    assert not stale, f"kept names that have a caller now: {stale}"

@@ -176,8 +176,8 @@ class TestCounit:
             for f in enumerate_ubp(n):
                 x = basis(f)
                 delta = coproduct(x)
-                left = Element.zero()
-                right = Element.zero()
+                left = Element()
+                right = Element()
                 for (a, b), c in delta.terms.items():
                     left = left + (c * counit(basis(a))) * basis(b)
                     right = right + (c * counit(basis(b))) * basis(a)
@@ -225,8 +225,8 @@ class TestAntipode:
             for f in enumerate_ubp(n):
                 x = basis(f)
                 delta = coproduct(x)
-                left = Element.zero()
-                right = Element.zero()
+                left = Element()
+                right = Element()
                 for (a, b), c in delta.terms.items():
                     left = left + c * product(antipode(basis(a)), basis(b))
                     right = right + c * product(basis(a), antipode(basis(b)))
@@ -519,7 +519,7 @@ class TestText:
         f1, f2 = f_pair()
         x = basis(f1) - 3 * basis(f2)
         assert parse_element(str(x)) == x
-        assert parse_element("0") == Element.zero()
+        assert parse_element("0") == Element()
 
     def test_bare_diagram(self):
         assert parse_element("{1}->{1}") == basis(identity(1))

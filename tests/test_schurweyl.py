@@ -18,12 +18,10 @@ from blockperm.schurweyl import (
     CyclotomicInteger,
     GroupElement,
     action_span_rank,
-    commutation_check,
     commutation_pairs,
     convolution_action,
     element_action_matrix,
     exact_sparse_rank,
-    group_action_matrix,
     group_generators,
     monoid_generators,
     tensor_words,
@@ -138,35 +136,43 @@ class TestActionMatrices:
             assert mat == ubp_action_matrix(f, 2)
 
 
+def group_map(g, m, r, n):
+    """The targets and unreduced root exponents of ``g`` on the degree-n
+    tensor space, after checking that they render as reference_group_matrix."""
+    words = tensor_words(m, n)
+    targets, exponents = schurweyl._group_map(g, words, m)
+    rows = {
+        i: {j: CyclotomicInteger.root_power(r, e)}
+        for i, (j, e) in enumerate(zip(targets, exponents))
+    }
+    assert ActionMatrix(len(words), rows) == reference_group_matrix(g, words, r)
+    return targets, exponents
+
+
 class TestGroupAction:
     def test_torus_generator_diagonal(self):
         g = GroupElement((1, 0, 0), Permutation.identity(3))
-        mat = group_action_matrix(g, 3, 4, 1)
-        zeta = CyclotomicInteger.root_power(4, 1)
-        one = CyclotomicInteger.one(4)
-        assert mat.entries() == [(0, 0, zeta), (1, 1, one), (2, 2, one)]
+        assert group_map(g, 3, 4, 1) == ([0, 1, 2], [1, 0, 0])
 
     def test_torus_order_r_is_identity(self):
         r = 3
         g = GroupElement((r, 0), Permutation.identity(2))
-        mat = group_action_matrix(g, 2, r, 2)
-        eye = ActionMatrix(4, {i: {i: CyclotomicInteger.one(r)} for i in range(4)})
-        assert mat == eye
+        targets, exponents = group_map(g, 2, r, 2)
+        assert targets == [0, 1, 2, 3]
+        assert [e % r for e in exponents] == [0] * 4
 
     def test_pure_permutation(self):
         g = GroupElement((0, 0), Permutation((2, 1)))
-        mat = group_action_matrix(g, 2, 1, 2)
+        targets, exponents = group_map(g, 2, 1, 2)
         # letterwise swap: word (1,2) -> (2,1)
         words = tensor_words(2, 2)
-        for i, w in enumerate(words):
-            target = tuple(3 - x for x in w)
-            assert list(mat.rows[i]) == [word_index(target, 2)]
+        assert targets == [word_index(tuple(3 - x for x in w), 2) for w in words]
+        assert exponents == [0] * 4
 
     def test_diagonal_scalar_accumulates(self):
         g = GroupElement((1, 0), Permutation.identity(2))
-        mat = group_action_matrix(g, 2, 5, 3)
-        entry = mat.rows[0][0]  # word (1,1,1) picks up the cube of the root
-        assert entry == CyclotomicInteger.root_power(5, 3)
+        _, exponents = group_map(g, 2, 5, 3)
+        assert exponents[0] == 3  # word (1,1,1) picks up the cube of the root
 
 
 def reference_diagram_matrix(f, words, r):
@@ -199,14 +205,14 @@ def reference_group_matrix(g, words, r):
 class TestCommutation:
     @pytest.mark.parametrize("n,m,r", [(2, 2, 2), (2, 4, 3), (3, 3, 2), (4, 2, 4)])
     def test_commutes(self, n, m, r):
-        assert commutation_check(n, m, r)
+        assert all(c for *_, c in commutation_pairs(n, m, r))
 
     def test_trivial_degrees(self):
-        assert commutation_check(1, 5, 3)
+        assert list(commutation_pairs(1, 5, 3)) == []
 
     def test_negative_degree_is_refused(self):
         with pytest.raises(ValueError, match="^n must be non-negative$"):
-            commutation_check(-1, 2, 1)
+            all(c for *_, c in commutation_pairs(-1, 2, 1))
 
     def test_pairs_match_multiplied_reference_matrices(self):
         # Multiplies cyclotomic matrices built here, from the generators'
@@ -261,7 +267,7 @@ class TestCommutation:
                 if m**n > 256:
                     break
                 for r in (1, 2, 3, 4):
-                    assert commutation_check(n, m, r), (n, m, r)
+                    assert all(c for *_, c in commutation_pairs(n, m, r)), (n, m, r)
 
 
 class TestRank:
