@@ -159,10 +159,6 @@ class UniformBlockPermutation:
         key = self._sort_key()
         return SetPartition._trusted(key[0], key[2])
 
-    @property
-    def block_map(self) -> tuple[int, ...]:
-        return self._sort_key()[3]
-
     def is_permutation(self) -> bool:
         """True iff all blocks are singletons."""
         return len(set(self.top)) == len(self.top)
@@ -201,14 +197,11 @@ def _fibres(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _codomain_key(bot: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(codomain blocks in canonical order, block map) of a bottom row: the
-    half of the sort key that does not depend on the top row."""
-    images = _fibres(bot)
-    # Fibres are disjoint and non-empty, so they sort by their minima.
-    order = sorted(range(len(images)), key=images.__getitem__)
-    block_map = [0] * len(order)
-    for pos, label in enumerate(order):
-        block_map[label] = pos
-    return tuple(images[label] for label in order), tuple(block_map)
+    half of the sort key that does not depend on the top row.  Numbering the
+    labels by first appearance orders their blocks by their minima, so that
+    numbering is the block map and the renumbered row's fibres are the blocks."""
+    row, block_map = canonical_labels(bot, range(len(set(bot))))
+    return _fibres(row), block_map
 
 
 def _reject(top: tuple, bot: tuple) -> None:
@@ -446,30 +439,42 @@ def closure_from_generators(n: int) -> list[UBP]:
     * b_i y is a child when the label lo = y.bot[i - 1] occurs once in y.bot,
       and writing lo for hi = y.bot[i] gives a weakly increasing row whose
       first repeat is at i.  This is decided on the rows; only the B_n - 1
-      accepted merges go through :func:`compose`."""
+      accepted merges go through :func:`compose`.
+
+    The search keeps row pairs and groups the bottom rows by top row; it sorts
+    no per-element keys.  Elements sort by (_fibres(top), _codomain_key(bot))
+    and each half determines its row, so that order lists the top rows sorted
+    by fibres, each with its bottom rows by their rank among all distinct
+    bottom rows sorted once by ``_codomain_key`` (distinct keys: no ties)."""
     _check_ceiling(n)
     merges = [merge_generator(n, i) for i in range(1, n)]
-    found = []
-    stack = [identity(n)]
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    stack = [(tuple(range(n)),) * 2]  # the identity
     while stack:
-        y = stack.pop()
-        found.append(y)
-        top, bot = y.top, y.bot
+        top, bot = stack.pop()
+        found.setdefault(top, []).append(bot)
         rising = True  # bot[:i] strictly increasing
         for i in range(1, n):
             lo, hi = bot[i - 1], bot[i]
             if lo < hi:
                 if i < 2 or bot[i - 2] <= hi:
-                    stack.append(UBP._trusted(top, _swapped(bot, i)))
+                    stack.append((top, _swapped(bot, i)))
                 if rising and bot.count(lo) == 1:
                     rest = [lo if v == hi else v for v in bot[i:]]
                     if rest == sorted(rest):
-                        stack.append(compose(merges[i - 1], y))
+                        x = compose(merges[i - 1], UBP._trusted(top, bot))
+                        stack.append((x.top, x.bot))
             else:
                 rising = False
             if i >= 2 and bot[i - 2] > lo:
                 break  # bot[:i] has a descent: no child at i + 1 or later
-    return sorted(found, key=UBP._sort_key)
+    bots = sorted({bot for rows in found.values() for bot in rows}, key=_codomain_key)
+    rank = dict(zip(bots, range(len(bots))))
+    return [
+        UBP._trusted(top, bot)
+        for top in sorted(found, key=_fibres)
+        for bot in sorted(found[top], key=rank.__getitem__)
+    ]
 
 
 def _integer_partition_multiplicities(n: int) -> list[tuple[int, ...]]:

@@ -109,31 +109,35 @@ DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 # purpose.  The perfbench tracer times CyclotomicInteger.__mul__, so the class
 # stays whole until that target is retired.
 UNCALLED_KEPT = {
+    "blockperm.schurweyl.CyclotomicInteger.one": "kept with its class for the tracer",
     "blockperm.schurweyl.CyclotomicInteger.root_power": "kept with its class for the tracer",
     "blockperm.schurweyl.CyclotomicInteger.zero": "kept with its class for the tracer",
 }
 
 
 def named_identifiers(source: str):
-    """(identifier, line) for each name the source uses: names, attributes,
-    imported names, and every part of a string that is wholly a dotted path,
-    such as the tracer target "CyclotomicInteger.__mul__".  Definitions,
-    comments and prose in docstrings name nothing."""
+    """(identifier, line, dotted) for each name the source uses: names,
+    attributes, imported names, and every part of a string that is wholly a
+    dotted path, such as the tracer target "CyclotomicInteger.__mul__".
+    ``dotted`` is true for attributes and for parts of a string with a dot,
+    the only ways a method or property is named.  Definitions, comments and
+    prose in docstrings name nothing."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, False
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and DOTTED_PATH.fullmatch(node.value)
         ):
-            for part in node.value.split("."):
-                yield part, node.lineno
+            parts = node.value.split(".")
+            for part in parts:
+                yield part, node.lineno, len(parts) > 1
 
 
 def test_named_identifiers():
@@ -141,12 +145,14 @@ def test_named_identifiers():
         '"""Calls kernel(word)."""\n'
         "from blockperm.monoid import compose as glue\n"
         "def kernel(word):\n    return glue(word).top\n"
-        'TARGET = ("blockperm.schurweyl", "CyclotomicInteger.__mul__", "not a path")\n'
+        'TARGET = ("blockperm.schurweyl", "CyclotomicInteger.__mul__", "not a path", "one")\n'
     )
-    # kernel is only defined and mentioned in prose, so it is not named.
-    assert {name for name, _ in named_identifiers(source)} == {
-        "compose", "glue", "word", "top", "TARGET",
-        "blockperm", "schurweyl", "CyclotomicInteger", "__mul__",
+    # kernel is only defined and mentioned in prose, so it is not named; top
+    # and the parts of dotted strings are the only names a method could be.
+    assert {(name, dotted) for name, _, dotted in named_identifiers(source)} == {
+        ("compose", False), ("glue", False), ("word", False), ("TARGET", False),
+        ("one", False), ("top", True), ("blockperm", True), ("schurweyl", True),
+        ("CyclotomicInteger", True), ("__mul__", True),
     }
 
 
@@ -170,16 +176,17 @@ def _public_definitions():
 def test_every_public_name_has_a_caller():
     # A name counts as called when some package module or non-test perfbench
     # file names it outside its own definition; checks in verify.SUITES are
-    # called through their suite.  Names are matched by their last part, so
+    # called through their suite.  Names are matched by their last part, and
+    # a method or property only through an attribute or a dotted string, so
     # passing is necessary, not sufficient.
-    occurrences: dict[str, list[tuple[Path, int]]] = {}
+    occurrences: dict[str, list[tuple[Path, int, bool]]] = {}
     paths = [
         *sorted(PACKAGE_DIR.glob("*.py")),
         *sorted(p for p in PERFBENCH_DIR.glob("*.py") if not p.name.startswith("test_")),
     ]
     for path in paths:
-        for name, line in named_identifiers(path.read_text()):
-            occurrences.setdefault(name, []).append((path.resolve(), line))
+        for name, line, dotted in named_identifiers(path.read_text()):
+            occurrences.setdefault(name, []).append((path.resolve(), line, dotted))
     registered = {check for checks in verify.SUITES.values() for check in checks}
     uncalled = []
     for qualname, obj in _public_definitions():
@@ -187,10 +194,11 @@ def test_every_public_name_has_a_caller():
             continue
         source = Path(inspect.getsourcefile(obj)).resolve()
         lines, start = inspect.getsourcelines(obj)
+        member = "." in obj.__qualname__
         outside = [
             (path, line)
-            for path, line in occurrences.get(qualname.rsplit(".", 1)[1], [])
-            if path != source or not start <= line < start + len(lines)
+            for path, line, dotted in occurrences.get(qualname.rsplit(".", 1)[1], [])
+            if (dotted or not member) and (path != source or not start <= line < start + len(lines))
         ]
         if not outside:
             uncalled.append(qualname)

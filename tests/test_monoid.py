@@ -57,6 +57,12 @@ from blockperm.perms import Permutation, all_permutations, shuffles
 from test_perms import inversion_set
 
 
+def block_map(f):
+    """block_map(f)[k]: the index in f.codomain.blocks of the image of the
+    k-th domain block."""
+    return f._sort_key()[3]
+
+
 def the_f1():
     # {1,3} -> {1,2}, {2} -> {3}
     return from_block_images(3, [((1, 3), (1, 2)), ((2,), (3,))])
@@ -67,8 +73,8 @@ class TestConstruction:
         f = the_f1()
         assert f.domain == parse_set_partition("{1,3}{2}")
         assert f.codomain == parse_set_partition("{1,2}{3}")
-        assert f.codomain.blocks[f.block_map[0]] == (1, 2)
-        assert f.codomain.blocks[f.block_map[1]] == (3,)
+        assert f.codomain.blocks[block_map(f)[0]] == (1, 2)
+        assert f.codomain.blocks[block_map(f)[1]] == (3,)
 
     def test_non_uniform_rejected(self):
         with pytest.raises(ValueError, match="non-uniform"):
@@ -305,7 +311,7 @@ def revalidated(h):
 def arrows(f):
     """f's (domain block, image block) pairs, in domain order."""
     images = f.codomain.blocks
-    return [(dom, images[k]) for dom, k in zip(f.domain.blocks, f.block_map)]
+    return [(dom, images[k]) for dom, k in zip(f.domain.blocks, block_map(f))]
 
 
 def standardized(blocks):
@@ -342,7 +348,7 @@ def reference_split(f, i):
 
 
 def partition_order(f):
-    return (f.domain, f.codomain, f.block_map)
+    return (f.domain, f.codomain, block_map(f))
 
 
 def expected_json(f):
@@ -351,7 +357,7 @@ def expected_json(f):
         "n": f.n,
         "blocks": [list(b) for b in f.domain.blocks],
         "images": [list(b) for b in f.codomain.blocks],
-        "map": list(f.block_map),
+        "map": list(block_map(f)),
     }
 
 
@@ -406,7 +412,7 @@ class TestDiagramInverse:
         g = diagram_inverse(f)
         assert g.domain == parse_set_partition("{1,2}{3}")
         assert g.codomain == parse_set_partition("{1,3}{2}")
-        assert g.codomain.blocks[g.block_map[0]] == (1, 3)
+        assert g.codomain.blocks[block_map(g)[0]] == (1, 3)
 
     def test_inverse_monoid_identities(self):
         for f in enumerate_ubp(3):
@@ -591,6 +597,18 @@ class TestEnumeration:
             assert len({(h.top, h.bot) for h in closure}) == len(closure)
             assert all(revalidated(h) == h for h in closure)
 
+    def test_closure_orders_rows_by_their_halves_of_the_sort_key(self):
+        # The closure ranks the distinct bottom rows by _codomain_key and sorts
+        # the top rows by _fibres.  That is the canonical order because no two
+        # bottom rows share a codomain key, so the ranks have no ties, and top
+        # rows sorted by their fibres give the domains in canonical order.
+        for n in range(7):
+            xs = enumerate_ubp(n)
+            bots = {f.bot for f in xs}
+            assert len({_codomain_key(bot) for bot in bots}) == len(bots)
+            tops = sorted({f.top for f in xs}, key=_fibres)
+            assert [_fibres(top) for top in tops] == [a.blocks for a in set_partitions(n)]
+
     def test_closure_composes_once_per_merge_child(self, monkeypatch):
         # The merge children are the diagrams other than the identity with a
         # weakly increasing bottom row, one per domain partition: B_n - 1 of
@@ -633,9 +651,9 @@ class TestEnumeration:
             for f in enumerate_ubp(n):
                 domain, images = _fibres(f.top), _fibres(f.bot)
                 codomain = tuple(sorted(images))
-                block_map = tuple(codomain.index(block) for block in images)
+                mapping = tuple(codomain.index(block) for block in images)
                 fresh = UniformBlockPermutation(f.top, f.bot)  # no cached key yet
-                assert fresh._sort_key() == (n, domain, codomain, block_map)
+                assert fresh._sort_key() == (n, domain, codomain, mapping)
 
     def test_row_caches_are_bounded_and_cleared_by_the_benchmark(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
