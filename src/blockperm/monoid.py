@@ -638,8 +638,15 @@ def parse_ubp(text: str) -> UBP:
     (:func:`_read_rows`), and the element is returned when it prints back as
     the text.  Any other arrows are read block by block into set partitions,
     only to name the first defect: valid but non-canonical input is rejected
-    with the canonical spelling in the error message.
+    with the canonical spelling in the error message.  Elements parsed are
+    cached per text (``ROW_CACHE_SIZE`` entries); rejected text raises again
+    on every call.
     """
+    return _parsed(text)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _parsed(text: str) -> UBP:
     s = text.strip()
     if s == "{}->{}":
         return identity(0)

@@ -11,10 +11,13 @@ All scalars live in the ring of integer polynomials modulo zeta^r - 1, so
 every identity checked here is exact and implies the corresponding complex
 statement.  Both actions are monomial: a diagram sends each word to one word
 or kills it, and a group element sends each word to one word times a power
-of the root.  Commutation compares these maps directly, word targets and
-root exponents mod r; products and sums of diagrams are formed on the maps
-too.  ``ActionMatrix`` is only the rendered output, stored sparsely (row ->
-column -> scalar); a single-diagram matrix has at most one entry per row.
+of the root.  A diagram with k blocks keeps only m^k words, one for each
+choice of a letter per block, and its word map is built from those alone,
+not from a scan of all m^n words.  Commutation compares these maps
+directly, word targets and root exponents mod r; products and sums of
+diagrams are formed on the maps too.  ``ActionMatrix`` is only the rendered
+output, stored sparsely (row -> column -> scalar); a single-diagram matrix
+has at most one entry per row.
 """
 
 from __future__ import annotations
@@ -198,13 +201,32 @@ def ubp_word_action(f: UBP, word: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(map(letters.__getitem__, f.top))
 
 
-def _diagram_targets(f: UBP, words: Sequence[tuple[int, ...]], m: int) -> list[int]:
+def _kept_words(f: UBP, m: int) -> tuple[list[int], list[int]]:
+    """Indices of the m^k words that ``f`` keeps and, in the same order, of
+    their images.  A kept word is a choice of letter for each of the k
+    labels: the letter counts m^(n-1-j) in the word's index for every bottom
+    position j with that label, and in the image's for every top position."""
+    source, target = [0] * f.n, [0] * f.n  # labels are below n
+    power = 1
+    for a, b in zip(reversed(f.top), reversed(f.bot)):
+        target[a] += power
+        source[b] += power
+        power *= m
+    words, images = [0], [0]
+    for s, t in zip(source, target):
+        if s:
+            words = [w + d for w in words for d in range(0, m * s, s)]
+            images = [w + d for w in images for d in range(0, m * t, t)]
+    return words, images
+
+
+def _diagram_targets(f: UBP, m: int) -> list[int]:
     """Index of the image of each word under the right action of ``f``, or
-    -1 where ``f`` kills the word."""
-    return [
-        -1 if (image := ubp_word_action(f, word)) is None else word_index(image, m)
-        for word in words
-    ]
+    -1 where ``f`` kills the word; the caller checks the dimension."""
+    out = [-1] * m**f.n
+    for i, j in zip(*_kept_words(f, m)):
+        out[i] = j
+    return out
 
 
 def _map_product(a: list[int], b: list[int]) -> list[int]:
@@ -215,38 +237,31 @@ def _map_product(a: list[int], b: list[int]) -> list[int]:
 
 def ubp_action_matrix(f: UBP, m: int) -> ActionMatrix:
     """Matrix of the right action on words; at most one entry per row."""
-    dim = _check_dim(m, f.n)
-    targets = _diagram_targets(f, tensor_words(m, f.n), m)
-    out = ActionMatrix(dim)
-    out.rows = {i: {j: 1} for i, j in enumerate(targets) if j >= 0}
+    out = ActionMatrix(_check_dim(m, f.n))
+    out.rows = {i: {j: 1} for i, j in zip(*_kept_words(f, m))}
     return out
 
 
 def element_action_matrix(x: Element, m: int) -> ActionMatrix:
     """Action matrix of a linear combination of diagrams of equal degree."""
     dim = _check_dim(m, x.degree())
-    words = tensor_words(m, x.degree())
     rows: dict[int, dict[int, object]] = {}
     for f, c in x.terms.items():
-        for i, j in enumerate(_diagram_targets(f, words, m)):
-            if j >= 0:
-                acc = rows.setdefault(i, {})
-                acc[j] = acc.get(j, 0) + c
+        for i, j in zip(*_kept_words(f, m)):
+            acc = rows.setdefault(i, {})
+            acc[j] = acc.get(j, 0) + c
     return ActionMatrix(dim, rows)  # drops the entries that cancel to 0
 
 
-def _group_map(
-    g: GroupElement, words: Sequence[tuple[int, ...]], m: int
-) -> tuple[list[int], list[int]]:
-    """Index of the image of each word under ``g`` and the exponent of the
-    root of unity it picks up, summed over the letters and not reduced."""
-    torus = (0,) + g.torus
-    images = (0,) + g.perm.images
-    targets = []
-    exponents = []
-    for word in words:
-        targets.append(word_index(map(images.__getitem__, word), m))
-        exponents.append(sum(map(torus.__getitem__, word)))
+def _group_map(g: GroupElement, n: int, m: int) -> tuple[list[int], list[int]]:
+    """Index of the image of each degree-n word under ``g`` and the exponent
+    of the root of unity it picks up, summed over the letters and not
+    reduced; built one position at a time, the last letter varying fastest."""
+    digits = [image - 1 for image in g.perm.images]
+    targets, exponents = [0], [0]
+    for _ in range(n):
+        targets = [t * m + d for t in targets for d in digits]
+        exponents = [e + z for e in exponents for z in g.torus]
     return targets, exponents
 
 
@@ -288,9 +303,8 @@ def _commutation_maps(
     the dimension."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    words = tensor_words(m, n)
-    diagrams = [_diagram_targets(f, words, m) for f in monoid_generators(n)]
-    groups = [_group_map(g, words, m) for g in group_generators(m)] if diagrams else []
+    diagrams = [_diagram_targets(f, m) for f in monoid_generators(n)]
+    groups = [_group_map(g, n, m) for g in group_generators(m)] if diagrams else []
     return diagrams, groups
 
 
@@ -346,10 +360,8 @@ def action_span_rank(n: int, m: int) -> int:
     injectivity half of the centralizer statement); below that threshold the
     rank may drop and is only reported."""
     dim = _check_dim(m, n)
-    words = tensor_words(m, n)
     return exact_sparse_rank(
-        {i * dim + j: 1 for i, j in enumerate(_diagram_targets(f, words, m)) if j >= 0}
-        for f in enumerate_ubp(n)
+        {i * dim + j: 1 for i, j in zip(*_kept_words(f, m))} for f in enumerate_ubp(n)
     )
 
 

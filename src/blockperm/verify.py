@@ -894,11 +894,10 @@ def check_action_orientation(limit: int) -> str:
     saw_noncommuting = False
     for n in range(limit + 1):
         for m in (2, 3):
-            words = schurweyl.tensor_words(m, n)
-            maps = {f: schurweyl._diagram_targets(f, words, m) for f in enumerate_ubp(n)}
+            maps = {f: schurweyl._diagram_targets(f, m) for f in enumerate_ubp(n)}
             for f, g in itertools.product(maps, repeat=2):
                 lhs = schurweyl._map_product(maps[g], maps[f])
-                if schurweyl._diagram_targets(compose(g, f), words, m) != lhs:
+                if schurweyl._diagram_targets(compose(g, f), m) != lhs:
                     return _fail(f"pinned orientation fails at n={n}, m={m}")
                 if lhs != schurweyl._map_product(maps[f], maps[g]):
                     saw_noncommuting = True
@@ -912,12 +911,11 @@ def check_action_orientation(limit: int) -> str:
 def check_generator_matrix_relations(limit: int) -> str:
     for n in range(2, limit + 1):
         for m in (2, 3):
-            words = schurweyl.tensor_words(m, n)
             s, b = (
-                {i: schurweyl._diagram_targets(gen(n, i), words, m) for i in range(1, n)}
+                {i: schurweyl._diagram_targets(gen(n, i), m) for i in range(1, n)}
                 for gen in (transposition_generator, merge_generator)
             )
-            one = list(range(len(words)))
+            one = list(range(m**n))
             failure = _relation_failure(n, s, b, one, schurweyl._map_product)
             if failure:
                 return _fail(f"n={n}, m={m}: {failure}")
@@ -928,9 +926,8 @@ def check_generator_matrix_relations(limit: int) -> str:
 def check_generator_factorization_route(limit: int) -> str:
     for n in range(limit + 1):
         for m in (2, 3):
-            words = schurweyl.tensor_words(m, n)
             gens = schurweyl.monoid_generators(n)
-            gen_maps = [schurweyl._diagram_targets(g, words, m) for g in gens]
+            gen_maps = [schurweyl._diagram_targets(g, m) for g in gens]
             routes: dict[UBP, tuple[int, ...]] = {identity(n): ()}
             frontier = [identity(n)]
             while frontier:
@@ -943,10 +940,10 @@ def check_generator_factorization_route(limit: int) -> str:
                             fresh.append(y)
                 frontier = fresh
             for f, route in routes.items():
-                action = list(range(len(words)))
+                action = list(range(m**n))
                 for gi in route:
                     action = schurweyl._map_product(gen_maps[gi], action)
-                if action != schurweyl._diagram_targets(f, words, m):
+                if action != schurweyl._diagram_targets(f, m):
                     return _fail(f"routes disagree for {f} at m={m}")
     return f"checked n <= {limit}, m <= 3"
 

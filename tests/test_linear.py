@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blockperm import hopf
+from blockperm import hopf, monoid
 from blockperm.hopf import Element, parse_element
 from blockperm.monoid import UniformBlockPermutation, enumerate_ubp, from_permutation, parse_ubp
 from blockperm.ncsym import NCSymElement, _parse_p_token, parse_p_element
@@ -221,9 +221,14 @@ class TestSumParser:
                 return printer(key)
 
             monkeypatch.setattr(key_cls, "__str__", counted)
-        assert parse_element(x_text) == x
+        monoid._parsed.cache_clear()  # a cached diagram text is not printed again
+        first = parse_element(x_text)
+        assert first == x
         assert calls == {UniformBlockPermutation: k}
         calls.clear()
+        second = parse_element(x_text)
+        assert calls == {}
+        assert all(a is b for a, b in zip(first.terms, second.terms, strict=True))
         assert parse_p_element(u_text) == u
         assert calls == {SetPartition: k}
 

@@ -17,6 +17,7 @@ from blockperm.monoid import (
     _codomain_key,
     _fibres,
     _first_appearance,
+    _parsed,
     _swapped,
     breaking_points,
     closure_from_generators,
@@ -663,7 +664,10 @@ class TestEnumeration:
         str(f)  # printing fills the block cache
         compose(f, f)  # composing fills the glue plans
         diagram_inverse(f)  # and inverting the renumberings
-        caches = (_fibres, _codomain_key, _block_text, _glue_py._glue_plan, _first_appearance)
+        parse_ubp(str(f))  # parsing fills the parse cache
+        caches = (
+            _fibres, _codomain_key, _block_text, _glue_py._glue_plan, _first_appearance, _parsed
+        )
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize == ROW_CACHE_SIZE and 0 < info.currsize <= ROW_CACHE_SIZE
@@ -994,6 +998,19 @@ class TestText:
         with pytest.raises(ValueError, match="arrow"):
             parse_ubp("{1}-{1}")
 
+    def test_rejected_text_is_not_cached(self):
+        _parsed.cache_clear()
+        parse_ubp("{1,3}->{1,2};{2}->{3}")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="canonical form is"):
+                parse_ubp("{2}->{3};{1,3}->{1,2}")
+        info = _parsed.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 0, 3)
+
+    def test_surrounding_whitespace_parses_to_an_equal_element(self):
+        text = str(the_f1())
+        assert parse_ubp(f" \t{text}\n") == parse_ubp(text) == the_f1()
+
     def test_matches_reference_parser_on_canonical_texts(self):
         for text in TEXTS_UP_TO_5:
             assert parse_outcome(parse_ubp, text) == parse_outcome(reference_parse_ubp, text)
@@ -1033,6 +1050,7 @@ class TestText:
             return from_blocks(n, blocks)
 
         monkeypatch.setattr(SetPartition, "from_blocks", staticmethod(counted))
+        _parsed.cache_clear()  # cached text would not be read again
         for text in TEXTS_UP_TO_5:
             parse_ubp(text)
         assert calls == []

@@ -63,6 +63,27 @@ class TestWordAction:
         for w in tensor_words(2, 3):
             assert ubp_word_action(identity(3), w) == w
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_diagram_maps_match_the_word_scan(self, m):
+        # The maps are built from block letters; the per-word action over
+        # every word is the reference.
+        for n in range(5):
+            for f in enumerate_ubp(n):
+                scan = [
+                    -1 if (image := ubp_word_action(f, w)) is None else word_index(image, m)
+                    for w in tensor_words(m, n)
+                ]
+                assert schurweyl._diagram_targets(f, m) == scan, (f, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_group_maps_match_the_word_scan(self, m):
+        for n in range(5):
+            words = tensor_words(m, n)
+            for g in group_generators(m):
+                targets = [word_index((g.perm.images[x - 1] for x in w), m) for w in words]
+                exponents = [sum(g.torus[x - 1] for x in w) for w in words]
+                assert schurweyl._group_map(g, n, m) == (targets, exponents), (g, n)
+
 
 class TestActionMatrices:
     def test_merge_generator_matrix(self):
@@ -104,8 +125,7 @@ class TestActionMatrices:
         # Rendered maps multiply as matrices, killed rows included; the
         # matrix product is the reference.
         for n in range(4):
-            words = tensor_words(m, n)
-            maps = {f: schurweyl._diagram_targets(f, words, m) for f in enumerate_ubp(n)}
+            maps = {f: schurweyl._diagram_targets(f, m) for f in enumerate_ubp(n)}
             mats = {f: ubp_action_matrix(f, m) for f in maps}
             for f, g in itertools.product(maps, repeat=2):
                 composed = schurweyl._map_product(maps[f], maps[g])
@@ -140,7 +160,7 @@ def group_map(g, m, r, n):
     """The targets and unreduced root exponents of ``g`` on the degree-n
     tensor space, after checking that they render as reference_group_matrix."""
     words = tensor_words(m, n)
-    targets, exponents = schurweyl._group_map(g, words, m)
+    targets, exponents = schurweyl._group_map(g, n, m)
     rows = {
         i: {j: CyclotomicInteger.root_power(r, e)}
         for i, (j, e) in enumerate(zip(targets, exponents))
@@ -250,7 +270,7 @@ class TestCommutation:
         commutes = difference == "r"
         exponents = [0, r if commutes else 1, 0, 0]
         monkeypatch.setattr(
-            schurweyl, "_group_map", lambda g, words, m: ([0, 1, 2, 3], exponents)
+            schurweyl, "_group_map", lambda g, n, m: ([0, 1, 2, 3], exponents)
         )
         words = tensor_words(2, 2)
         s1 = reference_diagram_matrix(transposition_generator(2, 1), words, r)

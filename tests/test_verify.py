@@ -69,7 +69,7 @@ def test_broken_absorption_is_caught_on_matrices(monkeypatch):
     monkeypatch.setattr(
         schurweyl,
         "_diagram_targets",
-        lambda f, words, m: list(range(len(words))) if f == b1 else targets(f, words, m),
+        lambda f, m: list(range(m**f.n)) if f == b1 else targets(f, m),
     )
     check = verify.check_generator_matrix_relations(2)
     assert check.passed is False
@@ -93,8 +93,8 @@ def test_generator_map_killing_an_extra_word_is_caught(monkeypatch):
     b1 = merge_generator(3, 1)
     targets = schurweyl._diagram_targets
 
-    def lossy(f, words, m):
-        out = targets(f, words, m)
+    def lossy(f, m):
+        out = targets(f, m)
         if f == b1:
             assert out[0] == 0
             out[0] = -1
@@ -111,8 +111,8 @@ def test_wrong_root_exponent_is_caught_mod_r(monkeypatch):
     # it breaks commutation for every r >= 2 and is invisible mod 1.
     group_map = schurweyl._group_map
 
-    def off_by_one(g, words, m):
-        targets, exponents = group_map(g, words, m)
+    def off_by_one(g, n, m):
+        targets, exponents = group_map(g, n, m)
         if len(exponents) > 1:
             exponents[1] += 1
         return targets, exponents
@@ -133,8 +133,8 @@ def test_extra_killed_word_is_caught(monkeypatch):
     # at the first case with a letter swap, which moves that word.
     diagram_targets = schurweyl._diagram_targets
 
-    def lossy(f, words, m):
-        targets = diagram_targets(f, words, m)
+    def lossy(f, m):
+        targets = diagram_targets(f, m)
         targets[0] = -1
         return targets
 
