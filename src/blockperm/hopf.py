@@ -7,7 +7,8 @@ interleaving of their two bottom rows; the coproduct splits a diagram
 at the breaking points of its codomain partition, and the antipode follows
 the standard recursion of a graded connected bialgebra over the reduced
 coproduct (the terms whose two factors both have positive degree).  All
-coefficients stay in the integers.
+coefficients stay in the integers.  Product and coproduct read the terms of
+each pair of diagrams and the cuts of each diagram from bounded caches.
 
 Text form: signed integer terms joined by " + ", e.g.
 ``1*{1}->{1};{2}->{2} + -1*{1,2}->{1,2}``; tensors use " (x) " between the
@@ -63,20 +64,38 @@ class TensorElement(LinearCombination):
         return f"{key[0]} (x) {key[1]}"
 
 
+# Structure constants kept per process, one entry per basis diagram or pair:
+# product terms, cuts and antipodes.  An entry holds up to C(p + q, p)
+# diagrams, so the bound is in entries of that size, not ROW_CACHE_SIZE.
+# `verify all --max-n 4` fills 351 product pairs and 152 cut and antipode
+# entries (every diagram of degree <= 4), and the seeded request mix (seeds
+# 1-10) at most 244, so none evicts; a long-lived process stays bounded.
+BASIS_CACHE_SIZE = 1024
+
+_product_terms = lru_cache(maxsize=BASIS_CACHE_SIZE)(_shuffled)
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _cuts(f: UBP) -> tuple[tuple[UBP, UBP], ...]:
+    """The ``_cut`` of f at each of its breaking points, in order."""
+    return tuple(_cut(f, i) for i in breaking_points(f))
+
+
 def product(x: Element, y: Element) -> Element:
     """Bilinear extension of f * g = sum over (p, q)-shuffles xi of
     compose(from_permutation(xi), concat(f, g)); each xi interleaves the two
     bottom rows, f's and g's shifted, under their joined top row."""
     return Element(
-        (h, a * b) for f, a in x.terms.items() for g, b in y.terms.items() for h in _shuffled(f, g)
+        (h, a * b)
+        for f, a in x.terms.items()
+        for g, b in y.terms.items()
+        for h in _product_terms(f, g)
     )
 
 
 def coproduct(x: Element) -> TensorElement:
     """One summand per breaking point of each term's codomain: its ``_cut``."""
-    return TensorElement(
-        (_cut(f, i), a) for f, a in x.terms.items() for i in breaking_points(f)
-    )
+    return TensorElement((cut, a) for f, a in x.terms.items() for cut in _cuts(f))
 
 
 def counit(x: Element) -> int:
@@ -87,35 +106,26 @@ def counit(x: Element) -> int:
 def tensor_product(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product on tensors (no signs): (a (x) b)(c (x) d) =
     (a*c) (x) (b*d)."""
-    pairs = []
-    for (a, b), c1 in s.terms.items():
-        for (u, v), c2 in t.terms.items():
-            left = product(Element.basis(a), Element.basis(u))
-            right = product(Element.basis(b), Element.basis(v))
-            pairs.extend(
-                ((f, g), c1 * c2 * cf * cg)
-                for f, cf in left.terms.items()
-                for g, cg in right.terms.items()
-            )
-    return TensorElement(pairs)
+    return TensorElement(
+        ((f, g), c1 * c2)
+        for (a, b), c1 in s.terms.items()
+        for (u, v), c2 in t.terms.items()
+        for f in _product_terms(a, u)
+        for g in _product_terms(b, v)
+    )
 
 
-# Antipodes kept per process.  `verify all --max-n 4` fills 152 entries (every
-# diagram of degree <= 4) and the seeded request mix at most 69, so neither
-# evicts; a long-lived process stays bounded.
-ANTIPODE_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _antipode_basis(f: UBP) -> Element:
     if f.n == 0:
         return Element.basis(f)
     pairs = [(f, -1)]
-    for (left, right), c in coproduct(Element.basis(f)).terms.items():
+    for left, right in _cuts(f):
         if left.n and right.n:
             pairs.extend(
-                (g, -c * d)
-                for g, d in product(_antipode_basis(left), Element.basis(right)).terms.items()
+                (g, -d)
+                for h, d in _antipode_basis(left).terms.items()
+                for g in _product_terms(h, right)
             )
     return Element(pairs)
 

@@ -81,13 +81,13 @@ class UniformBlockPermutation:
     (:func:`from_labels`, the parsers, unpickling).
     Only :meth:`_trusted` skips the check.  Its callers are the producers
     :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
-    :func:`concat`, :func:`_shuffled`, :func:`diagram_inverse` and :func:`_cut`,
-    whose rows are canonical and uniform by construction from valid elements:
-    the glue kernel and ``canonical_labels`` (cached per bottom row for
-    :func:`diagram_inverse`) number labels by first appearance along the top
-    row, and permuting the bottom row or shifting the labels of a right-hand
-    factor keeps both rows canonical with equal label counts.  So every value
-    in circulation is uniform.  In the same way :attr:`domain`,
+    :func:`concat`, :func:`_shuffled`, :func:`_cut` and :func:`_inverse` (the
+    per-diagram cache behind :func:`diagram_inverse`), whose rows are
+    canonical and uniform by construction from valid elements: the glue
+    kernel and ``canonical_labels`` number labels by first appearance along
+    the top row, and permuting the bottom row or shifting the labels of a
+    right-hand factor keeps both rows canonical with equal label counts.  So
+    every value in circulation is uniform.  In the same way :attr:`domain`,
     :attr:`codomain` and :func:`blockperm.partitions.partition_action` build
     their partitions with ``SetPartition._trusted``: the fibres of a valid
     row, and the image of a valid partition under a permutation, are
@@ -338,16 +338,13 @@ def diagram_inverse(f: UBP) -> UBP:
     This is the unique inverse-monoid partner of f: f.finv.f == f and
     finv.f.finv == finv; on permutations it is the group inverse.
     """
-    top, renumber = _first_appearance(f.bot)
-    return UBP._trusted(top, tuple(map(renumber.__getitem__, f.top)))
+    return _inverse(f)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _first_appearance(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(the row with its labels renumbered by first appearance, the
-    renumbering as a tuple indexed by old label); for a bottom row these are
-    the inverse's top row and the map that relabels the old top row."""
-    return canonical_labels(row, range(len(set(row))))
+def _inverse(f: UBP) -> UBP:
+    """Both rows swapped and relabelled by first appearance along f's bottom row."""
+    return UBP._trusted(*canonical_labels(f.bot, f.top))
 
 
 def concat(f: UBP, g: UBP) -> UBP:
@@ -359,11 +356,12 @@ def concat(f: UBP, g: UBP) -> UBP:
     )
 
 
-def _shuffled(f: UBP, g: UBP) -> list[UBP]:
+def _shuffled(f: UBP, g: UBP) -> tuple[UBP, ...]:
     """The terms of f * g in the order of ``shuffles(f.n, g.n)``: concat(f, g)
-    with f's part of its bottom row interleaved with g's, top row kept."""
+    with f's part of its bottom row interleaved with g's, top row kept.  The
+    labels of the two parts differ, so the terms are distinct."""
     h = concat(f, g)
-    return [UBP._trusted(h.top, bot) for bot in _interleavings(h.bot[:f.n], h.bot[f.n:])]
+    return tuple(UBP._trusted(h.top, bot) for bot in _interleavings(h.bot[:f.n], h.bot[f.n:]))
 
 
 def enumerate_ubp(n: int) -> list[UBP]:

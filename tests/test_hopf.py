@@ -1,6 +1,8 @@
 import functools
+import importlib
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from blockperm.hopf import (
     ubp_counts,
 )
 from blockperm.monoid import (
+    _cut,
     breaking_points,
     compose,
     concat,
@@ -84,6 +87,19 @@ def product_by_definition(f, g):
     return ones(compose(from_permutation(xi), h) for xi in shuffles_by_filter(f.n, g.n))
 
 
+@pytest.fixture
+def cold_hopf_caches():
+    """Empty the per-diagram Hopf caches before and after a test that
+    patches or counts a function behind them: a warm entry would hide the
+    patch, and an entry computed under it must not reach later tests."""
+    caches = (hopf._product_terms, hopf._cuts, hopf._antipode_basis)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def pairs_up_to(total):
     """Every pair of diagrams whose degrees sum to at most ``total``."""
     by_degree = [enumerate_ubp(n) for n in range(total + 1)]
@@ -126,13 +142,18 @@ class TestProduct:
         rhs = product(basis(f), basis(h)) + 2 * product(basis(g), basis(h))
         assert lhs == rhs
 
-    def test_matches_shuffle_definition(self):
+    def test_matches_shuffle_definition(self, cold_hopf_caches):
+        # Each pair twice: a miss fills its cached terms, a hit reads them.
         pairs = pairs_up_to(5)
         assert len(pairs) == 3701
         for f, g in pairs:
-            assert product(basis(f), basis(g)) == product_by_definition(f, g)
+            expected = product_by_definition(f, g)
+            assert product(basis(f), basis(g)) == expected
+            assert product(basis(f), basis(g)) == expected
+        info = hopf._product_terms.cache_info()
+        assert (info.hits, info.misses) == (3701, 3701)
 
-    def test_definition_catches_a_dropped_interleaving(self, monkeypatch):
+    def test_definition_catches_a_dropped_interleaving(self, cold_hopf_caches, monkeypatch):
         interleavings = monoid._interleavings
         monkeypatch.setattr(monoid, "_interleavings", lambda u, v: interleavings(u, v)[:-1])
         for f, g in pairs_up_to(3):
@@ -164,6 +185,17 @@ class TestCoproduct:
             {(f1, empty): 1, (empty, f1): 1, (f2, empty): -1, (empty, f2): -1}
         )
         assert delta == expected
+
+    def test_matches_cut_definition(self, cold_hopf_caches):
+        # Each diagram twice, as for products: once cold, once warm.
+        diagrams = [f for n in range(6) for f in enumerate_ubp(n)]
+        assert len(diagrams) == 1648
+        for f in diagrams:
+            expected = TensorElement((_cut(f, i), 1) for i in breaking_points(f))
+            assert coproduct(basis(f)) == expected
+            assert coproduct(basis(f)) == expected
+        info = hopf._cuts.cache_info()
+        assert (info.hits, info.misses) == (1648, 1648)
 
 
 class TestCounit:
@@ -264,10 +296,11 @@ def count_permutations(monkeypatch):
 
 
 class TestCutOnce:
-    """The coproduct is the one place in the Hopf layer that cuts a diagram;
-    it builds no shuffle, and the antipode reads its cuts from it."""
+    """The per-diagram cuts (``hopf._cuts``) are the one place in the Hopf
+    layer that cuts a diagram; they build no shuffle, and the coproduct and
+    the antipode read them."""
 
-    def test_coproduct_builds_no_permutation(self, monkeypatch):
+    def test_coproduct_builds_no_permutation(self, cold_hopf_caches, monkeypatch):
         diagrams = enumerate_ubp(5)
         assert len(diagrams) == 1496
         built = count_permutations(monkeypatch)
@@ -276,10 +309,9 @@ class TestCutOnce:
             coproduct(basis(f))
         assert (built, calls) == ([], [])
 
-    def test_antipode_makes_no_split_call(self, monkeypatch):
+    def test_antipode_makes_no_split_call(self, cold_hopf_caches, monkeypatch):
         diagrams = [f for n in range(5) for f in enumerate_ubp(n)]
         calls = count_calls(monkeypatch, monoid.split_at_breaking_point)
-        hopf._antipode_basis.cache_clear()
         for f in diagrams:
             hopf._antipode_basis(f)
         assert calls == []
@@ -289,7 +321,7 @@ class TestInterleaveOnce:
     """The product reads its terms off the interleavings of the two bottom
     rows: it builds no shuffle and relabels no codomain."""
 
-    def test_product_builds_no_permutation(self, monkeypatch):
+    def test_product_builds_no_permutation(self, cold_hopf_caches, monkeypatch):
         pairs = pairs_up_to(5)
         built = count_permutations(monkeypatch)
         shuffled = count_calls(monkeypatch, perms.shuffles)
@@ -297,6 +329,22 @@ class TestInterleaveOnce:
         for f, g in pairs:
             product(basis(f), basis(g))
         assert (built, shuffled, relabelled) == ([], [], [])
+
+
+class TestBasisCaches:
+    def test_caches_share_one_bound_and_are_cleared_by_the_benchmark(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        f, g = f_pair()
+        assert type(hopf._product_terms(f, g)) is tuple
+        assert type(hopf._cuts(f)) is tuple
+        antipode(basis(f))
+        caches = (hopf._product_terms, hopf._cuts, hopf._antipode_basis)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == hopf.BASIS_CACHE_SIZE and 0 < info.currsize
+        workloads.clear_caches()
+        assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
 
 class TestHopfAxiomsSmall:

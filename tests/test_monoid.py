@@ -16,7 +16,7 @@ from blockperm.monoid import (
     UniformBlockPermutation,
     _codomain_key,
     _fibres,
-    _first_appearance,
+    _inverse,
     _parsed,
     _swapped,
     breaking_points,
@@ -531,12 +531,14 @@ class TestTrustedProducers:
         self.check_inverse(f)
 
     def test_diagram_inverse_relabels_by_first_appearance(self):
-        # The cached renumbering of the bottom row against the definition:
-        # both rows relabelled by first appearance along the old bottom row.
-        for n in range(6):
-            for f in enumerate_ubp(n):
-                h = diagram_inverse(f)
-                assert (h.top, h.bot) == canonical_labels(f.bot, f.top)
+        # Cold and warm cached inverses against the definition: both rows
+        # relabelled by first appearance along the old bottom row.
+        _inverse.cache_clear()
+        for _ in range(2):
+            for n in range(6):
+                for f in enumerate_ubp(n):
+                    h = diagram_inverse(f)
+                    assert (h.top, h.bot) == canonical_labels(f.bot, f.top)
 
     def test_domain_and_codomain_match_validated_partitions(self):
         # .domain and .codomain build their partitions without validation.
@@ -663,10 +665,10 @@ class TestEnumeration:
         f._sort_key()  # a fresh key fills both row caches
         str(f)  # printing fills the block cache
         compose(f, f)  # composing fills the glue plans
-        diagram_inverse(f)  # and inverting the renumberings
+        diagram_inverse(f)  # inverting fills the inverse cache
         parse_ubp(str(f))  # parsing fills the parse cache
         caches = (
-            _fibres, _codomain_key, _block_text, _glue_py._glue_plan, _first_appearance, _parsed
+            _fibres, _codomain_key, _block_text, _glue_py._glue_plan, _inverse, _parsed
         )
         for cache in caches:
             info = cache.cache_info()
