@@ -373,27 +373,31 @@ def convolution_action(f: UBP, g: UBP, m: int) -> ActionMatrix:
     multiplicative extension of v -> v (x) 1 + 1 (x) v); the product
     concatenates.  The result coincides with the action matrix of the Hopf
     product of f and g.
+
+    Only the splits that f and g both keep contribute: a letter for each
+    label of f's bottom row and of g's, placed on a p-subset of positions and
+    on its complement.  The image does not depend on the subset.
     """
     p, q = f.n, g.n
     n = p + q
     dim = _check_dim(m, n)
+    k = max(f.bot, default=-1) + 1  # f's labels are 0..k-1; g's follow, shifted by k
+    choices = []  # (letter of each label, index of the image)
+    for letters in tensor_words(m, k + max(g.bot, default=-1) + 1):
+        left = ubp_word_action(f, [letters[a] for a in f.bot])
+        right = ubp_word_action(g, [letters[k + b] for b in g.bot])
+        choices.append((letters, word_index(left + right, m)))
     rows: dict[int, dict[int, object]] = {}
-    for i, word in enumerate(tensor_words(m, n)):
-        acc: dict[int, int] = {}
-        for subset in itertools.combinations(range(n), p):
-            chosen = set(subset)
-            left = tuple(word[t] for t in subset)
-            right = tuple(word[t] for t in range(n) if t not in chosen)
-            a = ubp_word_action(f, left)
-            if a is None:
-                continue
-            b = ubp_word_action(g, right)
-            if b is None:
-                continue
-            j = word_index(a + b, m)
+    for subset in itertools.combinations(range(n), p):
+        slot = [0] * n  # the label whose letter each position of the word carries
+        rest = [t for t in range(n) if t not in subset]
+        for t, a in zip(subset, f.bot):
+            slot[t] = a
+        for t, b in zip(rest, g.bot):
+            slot[t] = k + b
+        for letters, j in choices:
+            acc = rows.setdefault(word_index([letters[s] for s in slot], m), {})
             acc[j] = acc.get(j, 0) + 1
-        if acc:
-            rows[i] = acc
     out = ActionMatrix(dim)
     out.rows = rows
     return out

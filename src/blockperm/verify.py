@@ -18,7 +18,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from blockperm import hopf, schurweyl
 from blockperm._linear import LinearCombination
@@ -26,6 +26,7 @@ from blockperm.hopf import Element, TensorElement, domain_class_sum
 from blockperm.monoid import (
     UBP,
     EnumerationCeilingError,
+    _check_ceiling,
     breaking_points,
     closure_from_generators,
     compose,
@@ -118,7 +119,8 @@ def _check(suite: str, title: str, bound: int | None = None) -> Callable:
     argument when the check has no bound), and returns its passing detail
     text, or ``_fail(detail)``.  The decorated name is bound to
     ``check(max_n=None) -> Check``, which ``run_suite`` can send to worker
-    processes."""
+    processes; ``check.body`` is the body itself, to run a law past its
+    bound."""
 
     def register(body: Callable[..., str]) -> Callable[..., Check]:
         # Named as the body, so that it pickles by reference, but with its own
@@ -136,6 +138,7 @@ def _check(suite: str, title: str, bound: int | None = None) -> Callable:
 
         del check.__wrapped__
         check.title = title
+        check.body = body
         SUITES[suite].append(check)
         return check
 
@@ -155,6 +158,33 @@ def _basis_by_degree(limit: int) -> tuple[list[list[UBP]], dict[UBP, Element]]:
     """The diagrams of each degree n <= limit, and the basis element of each."""
     elems = [enumerate_ubp(n) for n in range(limit + 1)]
     return elems, {f: Element.basis(f) for fs in elems for f in fs}
+
+
+# One table per degree 0..5: each check walks every degree up to its bound,
+# so fewer entries would evict a table before the next check reads it.  No
+# check tabulates degree 6, whose table would hold 505M entries.
+TABLE_CACHE_SIZE = 6
+
+
+def _composition_table(n: int) -> tuple[tuple[UBP, ...], dict[UBP, int], Sequence[int]]:
+    """The diagrams of degree n in canonical order, the index of each, and
+    their composition table: ``table[i * N + j]`` is the index of
+    ``compose(elems[i], elems[j])``, where N = len(elems).  Refused above the
+    enumeration ceiling like :func:`enumerate_ubp`."""
+    _check_ceiling(n)  # outside the cache: a hit must not skip the refusal
+    return _compositions(n)
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _compositions(n: int) -> tuple[tuple[UBP, ...], dict[UBP, int], Sequence[int]]:
+    from array import array  # here, so that a process that never tabulates does not load it
+
+    elems = tuple(enumerate_ubp(n))
+    index = {f: i for i, f in enumerate(elems)}
+    table = array("H")  # N <= count_ubp(5) = 1496 fits in 16 bits
+    for g in elems:
+        table.fromlist([index[compose(g, f)] for f in elems])
+    return elems, index, table
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +289,23 @@ def check_presentation_relations(limit: int) -> str:
 @_check("monoid", "inverse-monoid identities and idempotent classification", 4)
 def check_inverse_monoid(limit: int) -> str:
     for n in range(limit + 1):
-        elems = enumerate_ubp(n)
-        inverse = {f: diagram_inverse(f) for f in elems}
-        for f, finv in inverse.items():
-            if compose(compose(f, finv), f) != f:
+        elems, index, table = _composition_table(n)
+        size = len(elems)
+        inv = [index[diagram_inverse(f)] for f in elems]
+        for i, f in enumerate(elems):
+            k = inv[i]
+            if table[table[i * size + k] * size + i] != i:
                 return _fail(f"n={n}: f finv f != f for {f}")
-            if compose(compose(finv, f), finv) != finv:
+            if table[table[k * size + i] * size + k] != k:
                 return _fail(f"n={n}: finv f finv != finv for {f}")
-            if diagram_inverse(finv) != f:
+            if inv[k] != i:
                 return _fail(f"n={n}: inversion not involutive for {f}")
-        for f, g in itertools.product(elems, repeat=2):
-            if diagram_inverse(compose(f, g)) != compose(inverse[g], inverse[f]):
-                return _fail(f"n={n}: (fg)~ != g~ f~ for {f}, {g}")
-        idempotents = {f for f in elems if compose(f, f) == f}
+        for i, f in enumerate(elems):
+            row, k = i * size, inv[i]
+            for j, g in enumerate(elems):
+                if inv[table[row + j]] != table[inv[j] * size + k]:
+                    return _fail(f"n={n}: (fg)~ != g~ f~ for {f}, {g}")
+        idempotents = {f for i, f in enumerate(elems) if table[i * size + i] == i}
         expected = {id_of_partition(a) for a in set_partitions(n)}
         if idempotents != expected:
             return _fail(f"n={n}: idempotents are not the partition identities")
@@ -309,18 +343,21 @@ def check_meet_morphism(limit: int) -> str:
 @_check("monoid", "permutations relabel the codomain on the left, the domain on the right", 4)
 def check_relabeling_laws(limit: int) -> str:
     for n in range(limit + 1):
-        sides = {f: (f.domain, f.codomain) for f in enumerate_ubp(n)}
+        elems, index, table = _composition_table(n)
+        size = len(elems)
+        sides = [(f.domain, f.codomain) for f in elems]
         for sigma in all_permutations(n):
-            u, sigma_inv = from_permutation(sigma), sigma.inverse()
-            for f, (domain, codomain) in sides.items():
+            u, sigma_inv = index[from_permutation(sigma)], sigma.inverse()
+            for j, f in enumerate(elems):
+                domain, codomain = sides[j]
                 left = left_compose_perm(sigma, f)
-                if left != compose(u, f):
+                if left != elems[table[u * size + j]]:
                     return _fail(f"n={n}: left fast path disagrees")
                 if left.domain != domain:
                     return _fail(f"n={n}: left composition moved the domain")
                 if left.codomain != partition_action(sigma, codomain):
                     return _fail(f"n={n}: left codomain not sigma(image)")
-                if compose(f, u).domain != partition_action(sigma_inv, domain):
+                if sides[table[j * size + u]][0] != partition_action(sigma_inv, domain):
                     return _fail(f"n={n}: right domain not sigma^-1(domain)")
     return f"checked n <= {limit}"
 
@@ -328,10 +365,12 @@ def check_relabeling_laws(limit: int) -> str:
 @_check("monoid", "composition is associative", 5)
 def check_associativity(limit: int) -> str:
     for n in range(min(limit, 3) + 1):
-        elems = enumerate_ubp(n)
-        for f, g, h in itertools.product(elems, repeat=3):
-            if compose(compose(h, g), f) != compose(h, compose(g, f)):
-                return _fail(f"n={n}: fails on {f}, {g}, {h}")
+        elems, _, table = _composition_table(n)
+        size = len(elems)
+        for i, j, k in itertools.product(range(size), repeat=3):
+            # (h g) f against h (g f), for f, g, h = elems[i], elems[j], elems[k]
+            if table[table[k * size + j] * size + i] != table[k * size + table[j * size + i]]:
+                return _fail(f"n={n}: fails on {elems[i]}, {elems[j]}, {elems[k]}")
     rng = random.Random(20108)
     for n in range(4, limit + 1):
         elems = enumerate_ubp(n)
@@ -580,11 +619,13 @@ def check_ideal_lemma(limit: int) -> str:
 @_check("hopf", "the span of domain-class sums is a right ideal", 4)
 def check_right_ideal(limit: int) -> str:
     for n in range(limit + 1):
-        elems = enumerate_ubp(n)
+        elems, index, table = _composition_table(n)
+        size = len(elems)
         for a in set_partitions(n):
-            za = domain_class_sum(a)
-            for h in elems:
-                moved = hopf.right_action(za, h)
+            # z_a h has the terms compose(f, h), read off the table row of each f
+            rows = [(index[f] * size, c) for f, c in domain_class_sum(a).terms.items()]
+            for j, h in enumerate(elems):
+                moved = Element((elems[table[row + j]], c) for row, c in rows)
                 try:
                     from_element(moved)
                 except ValueError as exc:

@@ -30,6 +30,7 @@ from blockperm.hopf import (
     ubp_counts,
 )
 from blockperm.monoid import (
+    UniformBlockPermutation,
     _cut,
     breaking_points,
     compose,
@@ -48,6 +49,7 @@ from blockperm.monoid import (
 )
 from blockperm.partitions import block_shuffles, parse_set_partition, set_partitions
 from blockperm.perms import Permutation, all_permutations
+from test_kernels import reference_compose
 
 
 def basis(f):
@@ -457,6 +459,20 @@ class TestDomainClassSums:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree mismatch"):
             right_action(domain_class_sum(parse_set_partition("{1,2}")), identity(3))
+
+    def test_right_action_composes_each_term(self):
+        # The right-ideal check reads its products off verify's composition
+        # table, so right_action is pinned here: term by term against a
+        # union-find composition, for every domain class and h of degree <= 3.
+        for n in range(4):
+            for a in set_partitions(n):
+                za = domain_class_sum(a)
+                for h in enumerate_ubp(n):
+                    expected = Element(
+                        (UniformBlockPermutation(*reference_compose(f, h)), c)
+                        for f, c in za.terms.items()
+                    )
+                    assert right_action(za, h) == expected, (a, h)
 
 
 class TestPrimitivity:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -338,6 +339,31 @@ class TestConvolution:
         mat = element_action_matrix(x, 2)
         assert mat.entries() == [(1, 2, -1), (2, 1, -1)]
         assert sorted(mat.rows) == [1, 2]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_per_word_definition(self, m):
+        # Every word of degree p + q, split over every p-subset of positions,
+        # each part acted on by ubp_word_action: the definition that
+        # convolution_action builds from letter choices instead.
+        by_degree = [enumerate_ubp(n) for n in range(5)]
+        for p in range(5):
+            for q in range(5 - p):
+                words = tensor_words(m, p + q)
+                subsets = list(itertools.combinations(range(p + q), p))
+                for f in by_degree[p]:
+                    for g in by_degree[q]:
+                        rows = {}
+                        for i, word in enumerate(words):
+                            for subset in subsets:
+                                left = ubp_word_action(f, [word[t] for t in subset])
+                                right = ubp_word_action(
+                                    g, [word[t] for t in range(p + q) if t not in subset]
+                                )
+                                if left is not None and right is not None:
+                                    row = rows.setdefault(i, Counter())
+                                    row[word_index(left + right, m)] += 1
+                        expected = ActionMatrix(m ** (p + q), rows)
+                        assert convolution_action(f, g, m) == expected, (f, g)
 
     def test_matches_product_up_to_degree_three(self):
         for p in range(3):

@@ -11,6 +11,7 @@ from blockperm import hopf, monoid, schurweyl, verify
 from blockperm.hopf import Element, TensorElement
 from blockperm.monoid import (
     EnumerationCeilingError,
+    count_ubp,
     diagram_inverse,
     enumerate_ubp,
     identity,
@@ -21,6 +22,16 @@ from blockperm.partitions import block_shuffles, parse_set_partition, set_partit
 from blockperm.perms import Permutation
 
 SUITE_KEYS = ["monoid", "hopf", "duality", "bases", "ncsym", "schurweyl"]
+
+
+@pytest.fixture
+def cold_composition_table():
+    """Empty the per-degree composition tables before and after a test that
+    patches or counts ``verify.compose``: a warm table would hide the patch,
+    and a table built under it must not reach later tests."""
+    verify._compositions.cache_clear()
+    yield
+    verify._compositions.cache_clear()
 
 
 def test_dropped_coproduct_term_is_caught(monkeypatch):
@@ -51,7 +62,7 @@ def test_stray_basis_term_is_caught(monkeypatch, side):
     assert getattr(verify, f"check_{side}_basis_product")(3).passed is False
 
 
-def test_broken_absorption_is_caught_on_diagrams(monkeypatch):
+def test_broken_absorption_is_caught_on_diagrams(monkeypatch, cold_composition_table):
     b1, s1 = merge_generator(2, 1), transposition_generator(2, 1)
     compose = verify.compose
     monkeypatch.setattr(
@@ -371,6 +382,66 @@ def test_ceiling_refusal_propagates(monkeypatch):
         verify.run_check(verify.check_inverse_monoid, 3)
 
 
+def test_ceiling_refusal_propagates_from_a_warm_table(monkeypatch):
+    verify._composition_table(3)
+    monkeypatch.setenv("BLOCKPERM_CEILING", "2")
+    with pytest.raises(EnumerationCeilingError):
+        verify._composition_table(3)
+    with pytest.raises(EnumerationCeilingError):
+        verify.run_check(verify.check_inverse_monoid, 3)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_composition_table_is_compose_by_index(n):
+    elems, index, table = verify._composition_table(n)
+    assert list(elems) == enumerate_ubp(n)
+    assert index == {f: i for i, f in enumerate(elems)}
+    assert table.typecode == "H" and len(table) == len(elems) ** 2
+    assert [elems[k] for k in table] == [
+        monoid.compose(g, f) for g in elems for f in elems
+    ]
+
+
+def test_wrong_table_entry_is_caught(monkeypatch):
+    # s_1 b_2 of degree 3 read as the identity; every other entry is right.
+    s1, b2 = transposition_generator(3, 1), merge_generator(3, 2)
+    tabulate = verify._composition_table
+
+    def one_wrong(n):
+        elems, index, table = tabulate(n)
+        if n == 3:
+            table = table[:]  # a copy: the cached table stays right
+            table[index[s1] * len(elems) + index[b2]] = index[identity(3)]
+        return elems, index, table
+
+    monkeypatch.setattr(verify, "_composition_table", one_wrong)
+    assert verify.check_inverse_monoid(3) == verify.Check(
+        "inverse-monoid identities and idempotent classification",
+        False,
+        f"n=3: (fg)~ != g~ f~ for {s1}, {b2}",
+    )
+
+
+def test_verify_all_tabulates_each_degree_once(monkeypatch, cold_composition_table):
+    calls = Counter()
+    compose = verify.compose
+
+    def counted(g, f):
+        calls[g, f] += 1
+        return compose(g, f)
+
+    monkeypatch.setattr(verify, "compose", counted)
+    assert all(check.passed for check in verify.run_suite("all", max_n=4))
+    info = verify._compositions.cache_info()
+    assert info.misses == info.currsize == 5  # degrees 0..4
+    cold = sum(calls.values())
+    calls.clear()
+    assert all(check.passed for check in verify.run_suite("all", max_n=4))
+    assert verify._compositions.cache_info().misses == 5
+    # The other checks compose the same pairs whether the tables are warm or not.
+    assert cold - sum(calls.values()) == sum(count_ubp(n) ** 2 for n in range(5)) == 17428
+
+
 @pytest.mark.parametrize("check", [verify.check_type_counts, verify.check_primitives])
 def test_negative_bound_is_refused(check):
     with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
@@ -407,6 +478,11 @@ def test_signature_is_the_call_not_the_body():
     assert str(inspect.signature(verify.check_type_counts)) == (
         "(max_n: 'int | None' = None) -> 'Check'"
     )
+
+
+def test_body_runs_past_the_bound():
+    assert verify.check_type_counts(7).detail == "checked n <= 6"
+    assert verify.check_type_counts.body(7) == "checked n <= 7"
 
 
 def test_bound_zero_checks_degree_zero():
