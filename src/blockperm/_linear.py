@@ -14,10 +14,12 @@ class LinearCombination:
     Instances are treated as immutable; arithmetic returns fresh objects of
     the same subclass.  Printing joins the terms, sorted by basis key, with
     " + ", each term rendered as ``coefficient*key`` via the subclass hook
-    ``term_str``.
+    ``term_str``.  A subclass may set the hook ``sort_key`` to a key function
+    that orders its basis keys as ``<`` does, taken once per term.
     """
 
     __slots__ = ("terms",)
+    sort_key = None
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         data: dict = {}
@@ -38,7 +40,7 @@ class LinearCombination:
         return self.terms.get(key, 0)
 
     def sorted_terms(self) -> list[tuple]:
-        return [(key, self.terms[key]) for key in sorted(self.terms)]
+        return [(key, self.terms[key]) for key in sorted(self.terms, key=self.sort_key)]
 
     def __add__(self, other):
         if type(other) is not type(self):

@@ -42,6 +42,8 @@ from blockperm.partitions import SetPartition
 class Element(LinearCombination):
     """Integer linear combination of diagrams."""
 
+    sort_key = staticmethod(UBP._sort_key)
+
     @classmethod
     def unit(cls) -> "Element":
         return cls.basis(identity(0))
@@ -58,6 +60,10 @@ class Element(LinearCombination):
 
 class TensorElement(LinearCombination):
     """Integer linear combination of ordered pairs of diagrams."""
+
+    @staticmethod
+    def sort_key(key) -> tuple:
+        return key[0]._sort_key(), key[1]._sort_key()
 
     @staticmethod
     def term_str(key) -> str:

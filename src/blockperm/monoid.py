@@ -10,10 +10,9 @@ of this orientation, all covered by tests:
 * ``compose(f, from_permutation(sigma))`` has domain ``sigma^{-1}(dom f)``;
 * ``id_of_partition(a) . id_of_partition(b) == id_of_partition(meet(a, b))``.
 
-An element is stored as the canonical label rows of its diagram (the
-encoding of :mod:`blockperm._glue_py`), and every operation here reads and
-writes those rows.  The partition form (domain, codomain, block map) is
-derived on request.
+An element is the tuple of the canonical label rows of its diagram (the
+encoding of :mod:`blockperm._glue_py`), which every operation here reads and
+writes; the partition form (domain, codomain, block map) is derived on request.
 
 Text form: domain-ordered block arrows joined by ";", e.g.
 ``{1,3}->{1,2};{2}->{3}``; the empty diagram (n = 0) prints as ``{}->{}``.
@@ -23,8 +22,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache, total_ordering
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from blockperm._glue_py import canonical_labels, glue_labels
@@ -68,42 +67,45 @@ def _check_ceiling(n: int) -> None:
         )
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class UniformBlockPermutation:
+class UniformBlockPermutation(tuple):
     """A size-preserving bijection between the blocks of two partitions.
 
-    ``top[i]`` is the index of the domain block containing i + 1, and
-    ``bot[j]`` the index of the domain block whose image contains j + 1.
-    Domain blocks are numbered in canonical order, so labels first appear
-    along ``top`` in increasing order.  The constructor validates the rows,
-    and so does every path that takes rows from outside the package
-    (:func:`from_labels`, the parsers, unpickling).
-    Only :meth:`_trusted` skips the check.  Its callers are the producers
-    :func:`compose`, :func:`left_compose_perm`, :func:`closure_from_generators`,
-    :func:`concat`, :func:`_shuffled`, :func:`_cut` and :func:`_inverse` (the
-    per-diagram cache behind :func:`diagram_inverse`), whose rows are
-    canonical and uniform by construction from valid elements: the glue
-    kernel and ``canonical_labels`` number labels by first appearance along
-    the top row, and permuting the bottom row or shifting the labels of a
-    right-hand factor keeps both rows canonical with equal label counts.  So
-    every value in circulation is uniform.  In the same way :attr:`domain`,
-    :attr:`codomain` and :func:`blockperm.partitions.partition_action` build
-    their partitions with ``SetPartition._trusted``: the fibres of a valid
-    row, and the image of a valid partition under a permutation, are
-    partitions already.
+    The value is the pair of label rows ``(top, bot)``: ``top[i]`` is the
+    index of the domain block containing i + 1, and ``bot[j]`` the index of
+    the domain block whose image contains j + 1.  Domain blocks are numbered
+    in canonical order, so labels first appear along ``top`` in increasing
+    order.  An element equals and orders only against another element, never
+    against the plain tuple of its rows.  Hashing is ``tuple.__hash__``.  It
+    and the validation method ``__post_init__`` are named in the class body
+    so that a tracer (``perfbench/tracing.py``) can wrap both.
+
+    The constructor validates the rows, and so does every path that takes
+    rows from outside the package (:func:`from_labels`, the parsers,
+    unpickling).  Only :meth:`_trusted` skips the check.  The producers here
+    call it on rows that are canonical and uniform by construction from
+    valid elements: the glue kernel and ``canonical_labels`` number labels by
+    first appearance along the top row, and permuting the bottom row or
+    shifting the labels of a right-hand factor keeps both rows canonical with
+    equal label counts.  :attr:`domain` and :attr:`codomain` pass the fibres
+    of a valid row to ``SetPartition._trusted`` in the same way.
 
     Elements sort as the tuple ``(domain, codomain, block_map)``, where
     ``block_map[k]`` is the index, in canonical block order of the codomain,
     of the image of the k-th domain block.
     """
 
-    top: tuple[int, ...]
-    bot: tuple[int, ...]
-    _key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    top = property(itemgetter(0))
+    bot = property(itemgetter(1))
+
+    def __new__(cls, top: tuple[int, ...], bot: tuple[int, ...]) -> UniformBlockPermutation:
+        self = tuple.__new__(cls, (top, bot))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        top, bot = self.top, self.bot
+        top, bot = self
         if type(top) is not tuple or type(bot) is not tuple:
             raise TypeError("label rows must be tuples")
         labels = list(dict.fromkeys(top))
@@ -116,48 +118,55 @@ class UniformBlockPermutation:
 
     @classmethod
     def _trusted(cls, top: tuple[int, ...], bot: tuple[int, ...]) -> UniformBlockPermutation:
-        """The element with rows known to be canonical and uniform, built
-        without validation; never call it on rows from outside the package."""
-        self = object.__new__(cls)
-        _set_top(self, top)  # the slot descriptors skip the frozen __setattr__
-        _set_bot(self, bot)
-        return self
+        """Unvalidated: only for canonical, uniform rows built in the package."""
+        return tuple.__new__(cls, (top, bot))
 
     def __reduce__(self):
-        # The sort key is a cache: pickle the rows and validate them again.
-        return (type(self), (self.top, self.bot))
+        return (type(self), tuple(self))  # through the constructor: validated
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(top={self[0]!r}, bot={self[1]!r})"
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
     def _sort_key(self) -> tuple:
-        """(n, domain blocks, codomain blocks, block map), computed once.
-
-        The domain half depends only on ``top`` and the rest only on
-        ``bot``; both come from per-row caches, so equal rows share them."""
-        try:
-            return self._key
-        except AttributeError:
-            pass
-        key = (len(self.top), _fibres(self.top), *_codomain_key(self.bot))
-        object.__setattr__(self, "_key", key)
-        return key
+        """(n, domain blocks, codomain blocks, block map), from row caches."""
+        top, bot = self
+        return (len(top), _fibres(top)) + _codomain_key(bot)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._sort_key() < other._sort_key()
+            raise TypeError(f"cannot order {type(self).__name__} and {type(other).__name__}")
+        top, bot = self
+        other_top, other_bot = other
+        if top != other_top:
+            return (len(top), _fibres(top)) < (len(other_top), _fibres(other_top))
+        return _codomain_key(bot) < _codomain_key(other_bot)
+
+    def __gt__(self, other):
+        return UBP.__lt__(other, self)
+
+    def __le__(self, other):
+        return not UBP.__lt__(other, self)
+
+    def __ge__(self, other):
+        return not UBP.__lt__(self, other)
 
     @property
     def n(self) -> int:
-        return len(self.top)
+        return len(self[0])
 
     @property
     def domain(self) -> SetPartition:
-        key = self._sort_key()
-        return SetPartition._trusted(key[0], key[1])
+        return SetPartition._trusted(len(self[0]), _fibres(self[0]))
 
     @property
     def codomain(self) -> SetPartition:
-        key = self._sort_key()
-        return SetPartition._trusted(key[0], key[2])
+        return SetPartition._trusted(len(self[1]), _codomain_key(self[1])[0])
 
     def is_permutation(self) -> bool:
         """True iff all blocks are singletons."""
@@ -166,23 +175,16 @@ class UniformBlockPermutation:
     def to_permutation(self) -> Permutation:
         if not self.is_permutation():
             raise ValueError("not a permutation: has a block of size > 1")
-        images = [0] * self.n
-        for j, label in enumerate(self.bot, start=1):
-            images[label] = j
-        return Permutation(tuple(images))
+        return shuffle_factorization(self)  # the domain is discrete: f == xi
 
     def __str__(self) -> str:
-        if not self.top:
-            return "{}->{}"
-        return ";".join(
-            _block_text(dom) + "->" + _block_text(cod)
-            for dom, cod in zip(_fibres(self.top), _fibres(self.bot))
-        )
+        top, bot = self
+        arrows = zip(_fibres(top), _fibres(bot))
+        text = ";".join(_block_text(dom) + "->" + _block_text(cod) for dom, cod in arrows)
+        return text or "{}->{}"
 
 
 UBP = UniformBlockPermutation
-_set_top = UBP.top.__set__
-_set_bot = UBP.bot.__set__
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -284,11 +286,9 @@ def merge_generator(n: int, i: int) -> UBP:
 
 
 def to_labels(f: UBP) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical label rows (top = domain side, bottom = codomain side).
-
-    Component ids are domain-block indices; the encoding is the one the
-    composition kernel operates on.
-    """
+    """Canonical label rows (top = domain side, bottom = codomain side): the
+    value of f itself.  Component ids are domain-block indices; the encoding
+    is the one the composition kernel operates on."""
     return f.top, f.bot
 
 
@@ -460,8 +460,7 @@ def closure_from_generators(n: int) -> list[UBP]:
                 if rising and bot.count(lo) == 1:
                     rest = [lo if v == hi else v for v in bot[i:]]
                     if rest == sorted(rest):
-                        x = compose(merges[i - 1], UBP._trusted(top, bot))
-                        stack.append((x.top, x.bot))
+                        stack.append(compose(merges[i - 1], UBP._trusted(top, bot)))
             else:
                 rising = False
             if i >= 2 and bot[i - 2] > lo:

@@ -309,18 +309,30 @@ def _commutation_maps(
 
 
 def _commutes(a: list[int], b: list[int], e: list[int], r: int) -> bool:
-    """Whether the diagram map ``a`` commutes with the group map ``(b, e)``.
+    """Whether the diagram map ``a`` commutes with the group map ``(b, e)``
+    when the root of unity has order r."""
+    g = _commuting_gcd(a, b, e)
+    return g is not None and g % r == 0
+
+
+def _commuting_gcd(a: list[int], b: list[int], e: list[int]) -> int | None:
+    """None when the word maps of ``a`` and ``(b, e)`` differ, else the gcd
+    of the exponent differences: the two commute for root order r exactly
+    when r divides it.
 
     Rendered as matrices, A @ B sends row k to column b[a[k]] with exponent
     e[a[k]], and B @ A sends it to column a[b[k]] with exponent e[k].  Every
     row of B has its entry, so B @ A kills row k exactly when a[b[k]] is -1."""
+    g = 0
     for k, ak in enumerate(a):
         if ak < 0:
             if a[b[k]] >= 0:
-                return False
-        elif b[ak] != a[b[k]] or (e[ak] - e[k]) % r:
-            return False
-    return True
+                return None
+        elif b[ak] != a[b[k]]:
+            return None
+        elif e[ak] != e[k]:
+            g = gcd(g, e[ak] - e[k])
+    return g
 
 
 def exact_sparse_rank(rows: Iterable[dict[int, int]]) -> int:

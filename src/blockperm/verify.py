@@ -346,8 +346,12 @@ def check_relabeling_laws(limit: int) -> str:
         elems, index, table = _composition_table(n)
         size = len(elems)
         sides = [(f.domain, f.codomain) for f in elems]
+        parts = set_partitions(n)
         for sigma in all_permutations(n):
             u, sigma_inv = index[from_permutation(sigma)], sigma.inverse()
+            # Every domain and codomain is one of parts: one image each per sigma.
+            image = {a: partition_action(sigma, a) for a in parts}
+            preimage = {a: partition_action(sigma_inv, a) for a in parts}
             for j, f in enumerate(elems):
                 domain, codomain = sides[j]
                 left = left_compose_perm(sigma, f)
@@ -355,9 +359,9 @@ def check_relabeling_laws(limit: int) -> str:
                     return _fail(f"n={n}: left fast path disagrees")
                 if left.domain != domain:
                     return _fail(f"n={n}: left composition moved the domain")
-                if left.codomain != partition_action(sigma, codomain):
+                if left.codomain != image[codomain]:
                     return _fail(f"n={n}: left codomain not sigma(image)")
-                if sides[table[j * size + u]][0] != partition_action(sigma_inv, domain):
+                if sides[table[j * size + u]][0] != preimage[domain]:
                     return _fail(f"n={n}: right domain not sigma^-1(domain)")
     return f"checked n <= {limit}"
 
@@ -997,8 +1001,9 @@ def check_commutation(limit: int) -> str:
             if m**n > 256:
                 break
             diagrams, groups = schurweyl._commutation_maps(n, m)
+            gcds = [schurweyl._commuting_gcd(a, b, e) for a in diagrams for b, e in groups]
             for r in range(1, 5):
-                if not all(schurweyl._commutes(a, b, e, r) for a in diagrams for b, e in groups):
+                if not all(g is not None and g % r == 0 for g in gcds):
                     return _fail(f"fails at (n,m,r)=({n},{m},{r})")
                 cases += 1
     return f"{cases} cases with dimension <= 256, root order <= 4"

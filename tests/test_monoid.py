@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockperm import _glue_py, monoid
 from blockperm._glue_py import canonical_labels
+from blockperm.hopf import Element, TensorElement
 from blockperm.monoid import (
     ROW_CACHE_SIZE,
     EnumerationCeilingError,
@@ -55,7 +57,7 @@ from blockperm.partitions import (
     set_partitions,
 )
 from blockperm.perms import Permutation, all_permutations, shuffles
-from test_perms import inversion_set
+from test_perms import inversion_set, tampered
 
 
 def block_map(f):
@@ -193,6 +195,70 @@ class TestRowValidation:
     def test_row_encoding(self):
         # {1,3} -> {1,2}, {2} -> {3}: top labels domain blocks, bot their images
         assert UniformBlockPermutation((0, 1, 0), (0, 0, 1)) == the_f1()
+
+
+class TestRowPairValue:
+    """An element is the tuple of its label rows, hashed by ``tuple.__hash__``,
+    but it equals, orders and prints only as an element."""
+
+    def test_never_equals_the_plain_tuple_of_its_rows(self):
+        for f in enumerate_ubp(3):
+            rows = (f.top, f.bot)
+            assert tuple(f) == rows and hash(f) == hash(rows)
+            assert not f == rows and not rows == f
+            assert f != rows and rows != f
+
+    def test_sets_and_dicts_keep_an_element_apart_from_its_rows(self):
+        for f in enumerate_ubp(3):
+            rows = (f.top, f.bot)
+            assert len({f, rows}) == 2 and rows not in {f} and f not in {rows}
+            table = {f: "element", rows: "rows"}
+            assert len(table) == 2 and table[f] == "element"
+            assert table[UniformBlockPermutation(*rows)] == "element"
+
+    def test_hashing_is_tuple_hash_in_the_class_dict(self):
+        # A tracer wraps and restores the class attribute by name; while it is
+        # the C slot wrapper, hashing makes no Python call.
+        assert UniformBlockPermutation.__dict__["__hash__"] is tuple.__hash__
+        assert "__post_init__" in UniformBlockPermutation.__dict__
+
+    def test_not_ordered_against_a_plain_tuple(self):
+        f = identity(2)
+        rows = (f.top, f.bot)
+        for compare in (
+            lambda: f < rows, lambda: f <= rows, lambda: f > rows, lambda: f >= rows,
+            lambda: rows < f, lambda: rows <= f, lambda: rows > f, lambda: rows >= f,
+            lambda: f < 1, lambda: 1 >= f,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_repr_and_pickling(self):
+        f = UniformBlockPermutation((0, 1, 0), (1, 0, 0))
+        assert repr(f) == "UniformBlockPermutation(top=(0, 1, 0), bot=(1, 0, 0))"
+        assert repr(identity(0)) == "UniformBlockPermutation(top=(), bot=())"
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and type(g) is UniformBlockPermutation
+        # The element's own pickle, its bottom row swapped for NON_UNIFORM's.
+        with pytest.raises(ValueError, match="non-uniform"):
+            tampered(f, (1, 0, 0), NON_UNIFORM[1])
+
+    def test_sort_key_and_every_comparison_agree_through_degree_4(self):
+        xs = [f for n in range(5) for f in enumerate_ubp(n)]
+        keys = {f: f._sort_key() for f in xs}
+        assert sorted(xs, key=UniformBlockPermutation._sort_key) == sorted(xs) == xs
+        for f, g in itertools.product(xs, repeat=2):
+            kf, kg = keys[f], keys[g]
+            assert (f < g, f <= g, f > g, f >= g) == (kf < kg, kf <= kg, kf > kg, kf >= kg)
+
+    def test_sorted_terms_follow_the_order_of_the_keys(self):
+        xs = [f for n in range(4) for f in enumerate_ubp(n)]
+        shuffled = random.Random(4).sample(xs, len(xs))
+        x = Element((f, i + 1) for i, f in enumerate(shuffled))
+        assert [f for f, _ in x.sorted_terms()] == sorted(x.terms) == xs
+        pairs = random.Random(5).sample(list(itertools.product(xs[:8], repeat=2)), 64)
+        t = TensorElement((pair, 1) for pair in pairs)
+        assert [pair for pair, _ in t.sorted_terms()] == sorted(pairs)
 
 
 class TestLabels:
@@ -675,6 +741,23 @@ class TestEnumeration:
             assert info.maxsize == ROW_CACHE_SIZE and 0 < info.currsize <= ROW_CACHE_SIZE
         workloads.clear_caches()
         assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+    # sha256 of the texts of the degree-n diagrams in canonical order, joined
+    # by newlines; n = 6 is asserted by a CI step.
+    ORDER_DIGESTS = {
+        0: "cd5532d1ed564f6978adb4659aae6957220d7a0d9a5e25a22d8e2b48048b12bd",
+        1: "6c0fbf4cb035f047bcd5656037b4de0d5e8e9580ab275a9dba907b70b1afcde1",
+        2: "d662a215df337874be3fe5513cd9368f2a21e0526110596ff2b893eece7d2932",
+        3: "38ec6f2b5b0069fce542658a6f3955ec1167cebf16d1f1e9607390c04f8d8479",
+        4: "9c7848148c16f4ea1b0e8f67afdf825524333c0ea31d91395758334733c619bd",
+        5: "3889a7429d5dc90a82066e651688a8b8a989e030cf02b8817fedd4778e2c390f",
+    }
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_canonical_order_is_pinned(self, n):
+        for listing in (enumerate_ubp(n), closure_from_generators(n)):
+            text = "\n".join(map(str, listing))
+            assert hashlib.sha256(text.encode()).hexdigest() == self.ORDER_DIGESTS[n]
 
     def test_sort_key_orders_as_lt(self):
         xs = enumerate_ubp(5)

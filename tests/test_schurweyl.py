@@ -262,6 +262,18 @@ class TestCommutation:
                     cases += 1
         assert cases == 4 * 101
 
+    def test_commuting_gcd_decides_every_root_order(self):
+        # s_1 on the degree-2 words over two letters swaps words 1 and 2.
+        swap, fixed = [0, 2, 1, 3], [0, 1, 2, 3]
+        exponents = [0, 6, 2, 0]  # words 1 and 2 differ by 4
+        assert schurweyl._commuting_gcd(swap, fixed, exponents) == 4
+        orders = [r for r in range(1, 9) if schurweyl._commutes(swap, fixed, exponents, r)]
+        assert orders == [1, 2, 4]  # the divisors of 4
+        assert schurweyl._commuting_gcd(swap, fixed, [5, 1, 1, 5]) == 0
+        # A map that kills word 1 but keeps its image under swap never commutes.
+        assert schurweyl._commuting_gcd([0, -1, 2, 3], swap, [0] * 4) is None
+        assert not schurweyl._commutes([0, -1, 2, 3], swap, [0] * 4, 1)
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("difference", ["r", "1"])
     def test_exponents_are_compared_mod_r(self, monkeypatch, r, difference):

@@ -155,6 +155,45 @@ def test_extra_killed_word_is_caught(monkeypatch):
     assert check.detail == "fails at (n,m,r)=(2,2,1)"
 
 
+def test_commutation_decides_each_generator_pair_once(monkeypatch):
+    # The gcd of a pair's exponent differences decides every root order, so
+    # the four orders share one walk of each pair's word maps.
+    calls = []
+    commuting_gcd = schurweyl._commuting_gcd
+
+    def counted(a, b, e):
+        calls.append(a)
+        return commuting_gcd(a, b, e)
+
+    monkeypatch.setattr(schurweyl, "_commuting_gcd", counted)
+    pairs = 0
+    for n in range(1, 9):
+        for m in range(1, 257):
+            if m**n > 256:
+                break
+            diagrams, groups = schurweyl._commutation_maps(n, m)
+            pairs += len(diagrams) * len(groups)
+    check = verify.check_commutation()
+    assert check.passed and check.detail == "1164 cases with dimension <= 256, root order <= 4"
+    assert len(calls) == pairs > 0
+
+
+def test_relabeling_laws_act_on_each_partition_once_per_sigma(monkeypatch):
+    # At degree n <= 4 there are n! * B(n) pairs (sigma, partition), 396 in
+    # all.  Each is taken twice: as sigma's image, and as the preimage under
+    # the permutation whose inverse is sigma.
+    calls = Counter()
+    partition_action = verify.partition_action
+
+    def counted(sigma, a):
+        calls[sigma, a] += 1
+        return partition_action(sigma, a)
+
+    monkeypatch.setattr(verify, "partition_action", counted)
+    assert verify.check_relabeling_laws(4).detail == "checked n <= 4"
+    assert len(calls) == 396 and set(calls.values()) == {2}
+
+
 def nested_loops(by_degree, arity):
     """The case order of the graded batteries, written as explicit loops."""
     limit = len(by_degree) - 1
