@@ -171,8 +171,6 @@ def _verify(args) -> int:
 
 def _verify_schurweyl_case(args) -> int:
     n = args.n if args.n is not None else 2
-    if n < 0:  # before m's default is derived from it
-        raise ValueError("n must be non-negative")
     m = args.m if args.m is not None else max(2 * n, 1)
     r = args.r if args.r is not None else n + 1
     # Refuse before building anything; the rank enumerates degree n.

@@ -24,9 +24,9 @@ from blockperm._linear import LinearCombination, parse_terms
 from blockperm.monoid import (
     UBP,
     _cut,
-    _shuffled,
     breaking_points,
     compose,
+    concat,
     count_ubp,
     diagram_inverse,
     elements_with_domain,
@@ -37,6 +37,7 @@ from blockperm.monoid import (
     ubp_to_json,
 )
 from blockperm.partitions import SetPartition
+from blockperm.perms import _interleavings
 
 
 class Element(LinearCombination):
@@ -53,6 +54,8 @@ class Element(LinearCombination):
 
     def degree(self) -> int:
         degs = self.degrees()
+        if not degs:
+            raise ValueError("zero element has no degree")
         if len(degs) != 1:
             raise ValueError("element is not homogeneous")
         return degs.pop()
@@ -78,7 +81,14 @@ class TensorElement(LinearCombination):
 # 1-10) at most 244, so none evicts; a long-lived process stays bounded.
 BASIS_CACHE_SIZE = 1024
 
-_product_terms = lru_cache(maxsize=BASIS_CACHE_SIZE)(_shuffled)
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _product_terms(f: UBP, g: UBP) -> tuple[UBP, ...]:
+    """The terms of f * g in the order of ``shuffles(f.n, g.n)``: concat(f, g)
+    with f's part of its bottom row interleaved with g's, top row kept.  The
+    labels of the two parts differ, so the terms are distinct."""
+    h = concat(f, g)
+    return tuple(UBP._trusted(h.top, bot) for bot in _interleavings(h.bot[:f.n], h.bot[f.n:]))
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
@@ -158,8 +168,6 @@ def pairing(x: Element, y: Element) -> int:
 
 def is_primitive(x: Element) -> bool:
     """True iff the coproduct has only the two boundary terms."""
-    if not x:
-        raise ValueError("zero element has no degree")
     n = x.degree()
     if n < 1:
         raise ValueError("primitivity needs degree >= 1")

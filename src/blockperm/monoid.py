@@ -36,7 +36,7 @@ from blockperm.partitions import (
     count_of_type,
     set_partitions,
 )
-from blockperm.perms import _INT, Permutation, _interleavings, _inversion_mask
+from blockperm.perms import _INT, Permutation, _inversion_mask
 from blockperm.perms import adjacent_transposition
 
 DEFAULT_CEILING = 6
@@ -59,6 +59,8 @@ def enumeration_ceiling() -> int:
 
 
 def _check_ceiling(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be non-negative")
     limit = enumeration_ceiling()
     if n > limit:
         raise EnumerationCeilingError(
@@ -356,14 +358,6 @@ def concat(f: UBP, g: UBP) -> UBP:
     )
 
 
-def _shuffled(f: UBP, g: UBP) -> tuple[UBP, ...]:
-    """The terms of f * g in the order of ``shuffles(f.n, g.n)``: concat(f, g)
-    with f's part of its bottom row interleaved with g's, top row kept.  The
-    labels of the two parts differ, so the terms are distinct."""
-    h = concat(f, g)
-    return tuple(UBP._trusted(h.top, bot) for bot in _interleavings(h.bot[:f.n], h.bot[f.n:]))
-
-
 def enumerate_ubp(n: int) -> list[UBP]:
     """All elements on [n], each once, in canonical order: the weak-order
     components in the order of their domains."""
@@ -488,8 +482,6 @@ def _integer_partition_multiplicities(n: int) -> list[tuple[int, ...]]:
             descend(remaining - part, part)
             mult[part - 1] -= 1
 
-    if n == 0:
-        return [()]
     descend(n, n)
     return out
 
@@ -497,6 +489,8 @@ def _integer_partition_multiplicities(n: int) -> list[tuple[int, ...]]:
 def count_ubp(n: int) -> int:
     """Closed-form count: sum over types of (number of partitions of that
     type) squared times the block bijections within each size class."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     total = 0
     for mult in _integer_partition_multiplicities(n):
         per_type = count_of_type(PartitionType(mult))

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,3 +207,16 @@ def test_every_public_name_has_a_caller():
     assert not unexpected, f"public names with no caller: {unexpected}"
     stale = sorted(UNCALLED_KEPT.keys() - set(uncalled))
     assert not stale, f"kept names that have a caller now: {stale}"
+
+
+def test_oracle_imports_only_the_standard_library():
+    # The tests and CI compare the package with perfbench/oracle.py, which is
+    # an independent reference only while it shares no code with blockperm.
+    tree = ast.parse((PERFBENCH_DIR / "oracle.py").read_text())
+    imported = {
+        (alias.name if isinstance(node, ast.Import) else "." * node.level + (node.module or ""))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported and {name.split(".")[0] for name in imported} <= sys.stdlib_module_names

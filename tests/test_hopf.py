@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from blockperm import hopf, monoid, perms
 from blockperm.hopf import (
     Element,
@@ -30,7 +31,6 @@ from blockperm.hopf import (
     ubp_counts,
 )
 from blockperm.monoid import (
-    UniformBlockPermutation,
     _cut,
     breaking_points,
     compose,
@@ -49,7 +49,7 @@ from blockperm.monoid import (
 )
 from blockperm.partitions import block_shuffles, parse_set_partition, set_partitions
 from blockperm.perms import Permutation, all_permutations
-from test_kernels import reference_compose
+from test_monoid import arrows
 
 
 def basis(f):
@@ -156,8 +156,8 @@ class TestProduct:
         assert (info.hits, info.misses) == (3701, 3701)
 
     def test_definition_catches_a_dropped_interleaving(self, cold_hopf_caches, monkeypatch):
-        interleavings = monoid._interleavings
-        monkeypatch.setattr(monoid, "_interleavings", lambda u, v: interleavings(u, v)[:-1])
+        interleavings = hopf._interleavings
+        monkeypatch.setattr(hopf, "_interleavings", lambda u, v: interleavings(u, v)[:-1])
         for f, g in pairs_up_to(3):
             assert product(basis(f), basis(g)) != product_by_definition(f, g)
 
@@ -462,17 +462,17 @@ class TestDomainClassSums:
 
     def test_right_action_composes_each_term(self):
         # The right-ideal check reads its products off verify's composition
-        # table, so right_action is pinned here: term by term against a
-        # union-find composition, for every domain class and h of degree <= 3.
+        # table, so right_action is pinned here: term by term against the
+        # oracle's composition, for every domain class and h of degree <= 3.
         for n in range(4):
             for a in set_partitions(n):
                 za = domain_class_sum(a)
                 for h in enumerate_ubp(n):
-                    expected = Element(
-                        (UniformBlockPermutation(*reference_compose(f, h)), c)
-                        for f, c in za.terms.items()
-                    )
-                    assert right_action(za, h) == expected, (a, h)
+                    expected = Counter()
+                    for f, c in za.terms.items():
+                        expected[oracle.compose(arrows(f), arrows(h))] += c
+                    terms = right_action(za, h).terms.items()
+                    assert {arrows(g): c for g, c in terms} == dict(expected), (a, h)
 
 
 class TestPrimitivity:
@@ -491,6 +491,11 @@ class TestPrimitivity:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             is_primitive(Element.unit())
+
+    def test_rejects_zero(self):
+        for call in (Element().degree, lambda: is_primitive(Element())):
+            with pytest.raises(ValueError, match="^zero element has no degree$"):
+                call()
 
 
 class TestBases:

@@ -1,5 +1,6 @@
 """The composition kernel on hand-checked label rows, and ``compose``
-against an independent vertex union-find."""
+against the vertex union-find of ``oracle.compose``, reached through
+``test_monoid.arrows``."""
 
 import itertools
 from collections import Counter
@@ -7,9 +8,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from blockperm import _glue_py
 from blockperm.monoid import UniformBlockPermutation, compose, enumerate_ubp
-from test_monoid import diagrams
+from test_monoid import arrows, diagrams
 
 
 class TestPureKernel:
@@ -30,48 +32,14 @@ class TestPureKernel:
         assert _glue_py.glue_labels(top, bot, top, bot) == ((0, 1), (0, 1))
 
 
-def reference_compose(g, f):
-    """g.f by union-find over the 3n vertices of f's diagram stacked on g's:
-    f's top row (0..n-1), the glued middle row (n..2n-1) and g's bottom row
-    (2n..3n-1).  Components are then numbered by first appearance along the
-    top row."""
-    n = f.n
-    parent = list(range(3 * n))
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def join(u, v):
-        parent[find(u)] = find(v)
-
-    for layer, (upper, lower) in ((0, (f.top, f.bot)), (n, (g.top, g.bot))):
-        vertices = [layer + i for i in range(n)] + [layer + n + j for j in range(n)]
-        labels = list(upper) + list(lower)
-        first = {}
-        for v, label in zip(vertices, labels):
-            if label in first:
-                join(v, first[label])
-            else:
-                first[label] = v
-    number = {}
-    for i in range(n):
-        number.setdefault(find(i), len(number))
-    top = tuple(number[find(i)] for i in range(n))
-    bot = tuple(number[find(2 * n + j)] for j in range(n))
-    return top, bot
-
-
 def assert_matches_reference(g, f):
-    """compose(g, f) equals the reference, its top row is canonical, and
-    the kernel hands back f's own top row exactly when no blocks merged.
-    Returns True when blocks merged."""
-    top, bot = reference_compose(g, f)
+    """compose(g, f) equals the oracle's, its top row is canonical, and the
+    kernel hands back f's own top row exactly when no blocks merged.  Returns
+    True when blocks merged."""
     h = compose(g, f)
-    assert (h.top, h.bot) == (top, bot)
-    assert list(dict.fromkeys(top)) == list(range(len(set(top))))
-    merged = len(set(top)) < len(set(f.top))
+    assert arrows(h) == oracle.compose(arrows(g), arrows(f))
+    assert list(dict.fromkeys(h.top)) == list(range(len(set(h.top))))
+    merged = len(set(h.top)) < len(set(f.top))
     if f.n:
         out_top, _ = _glue_py.glue_labels(f.top, f.bot, g.top, g.bot)
         assert (out_top is f.top) == (not merged)
@@ -130,7 +98,7 @@ class TestGluePlans:
         hits = _glue_py._glue_plan.cache_info().hits
         h = compose(g2, f2)
         assert _glue_py._glue_plan.cache_info().hits == hits + 1
-        assert (h.top, h.bot) == reference_compose(g2, f2)
+        assert arrows(h) == oracle.compose(arrows(g2), arrows(f2))
         assert_matches_reference(g2, f2)
 
     def test_unmerged_top_row_is_fs_own_on_a_miss_and_a_hit(self):

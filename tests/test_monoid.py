@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from blockperm import _glue_py, monoid
 from blockperm._glue_py import canonical_labels
 from blockperm.hopf import Element, TensorElement
@@ -376,9 +377,15 @@ def revalidated(h):
 
 
 def arrows(f):
-    """f's (domain block, image block) pairs, in domain order."""
-    images = f.codomain.blocks
-    return [(dom, images[k]) for dom, k in zip(f.domain.blocks, block_map(f))]
+    """f as the oracle's diagram: one (domain block, image block) arrow per
+    label, the positions of that label along f.top and along f.bot."""
+    return oracle.make(
+        (
+            [i for i, x in enumerate(f.top, 1) if x == label],
+            [j for j, x in enumerate(f.bot, 1) if x == label],
+        )
+        for label in set(f.top)
+    )
 
 
 def standardized(blocks):
@@ -392,7 +399,7 @@ def reference_concat(f, g):
     shifted = [
         (tuple(x + f.n for x in dom), tuple(x + f.n for x in cod)) for dom, cod in arrows(g)
     ]
-    return from_block_images(f.n + g.n, arrows(f) + shifted)
+    return from_block_images(f.n + g.n, [*arrows(f), *shifted])
 
 
 def reference_split(f, i):
@@ -644,6 +651,12 @@ class TestEnumeration:
         assert len(enumerate_ubp(n)) == count
         assert count_ubp(n) == count
         assert count_ubp_recursive(n) == count
+
+    def test_negative_degree_refused_by_both_of_each_pair(self):
+        # verify compares enumeration with closure, and formula with recursion.
+        for fn in (enumerate_ubp, closure_from_generators, count_ubp, count_ubp_recursive):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                fn(-1)
 
     def test_known_sequence(self):
         assert [count_ubp(n) for n in range(7)] == [1, 1, 3, 16, 131, 1496, 22482]
@@ -1021,34 +1034,21 @@ def parse_outcome(parse, text):
         return f"ValueError: {exc}"
 
 
-def reference_text(f):
-    """The text form, printed from the domain and image blocks."""
-    if not f.n:
-        return "{}->{}"
-    return ";".join(
-        reference_block_text(dom) + "->" + reference_block_text(cod) for dom, cod in arrows(f)
-    )
-
-
-def reference_block_text(block):
-    return "{" + ",".join(str(i) for i in block) + "}"
-
-
 def reference_parse_ubp(text):
     """The parser that reads every text through set partitions
     (from_block_images) and accepts it only if it prints back the same."""
     s = text.strip()
     if s == "{}->{}":
         return identity(0)
-    arrows = []
+    pairs = []
     for pos, piece in enumerate(s.split(";")):
         halves = piece.split("->")
         if len(halves) != 2:
             raise ValueError(f"arrow {pos} must look like '{{..}}->{{..}}': {piece!r}")
-        arrows.append((reference_block(halves[0], piece), reference_block(halves[1], piece)))
-    n = max((i for d, _ in arrows for i in d), default=0)
-    result = from_block_images(n, arrows)
-    canonical = reference_text(result)
+        pairs.append((reference_block(halves[0], piece), reference_block(halves[1], piece)))
+    n = max((i for d, _ in pairs for i in d), default=0)
+    result = from_block_images(n, pairs)
+    canonical = oracle.diagram_text(arrows(result))
     if canonical != s:
         raise ValueError(f"non-canonical element {text!r}; canonical form is {canonical}")
     return result
@@ -1070,6 +1070,12 @@ class TestText:
             for f in enumerate_ubp(n):
                 assert parse_ubp(str(f)) == f
                 assert ubp_to_json(f) == expected_json(f)
+
+    def test_arrows_read_the_diagram_the_oracle_reads(self):
+        # arrows is the tests' one bridge from label rows to the oracle.
+        for n in range(6):
+            for f in enumerate_ubp(n):
+                assert arrows(f) == oracle.parse_diagram(str(f))
 
     def test_examples(self):
         assert str(the_f1()) == "{1,3}->{1,2};{2}->{3}"

@@ -352,6 +352,10 @@ class TestConvolution:
         assert mat.entries() == [(1, 2, -1), (2, 1, -1)]
         assert sorted(mat.rows) == [1, 2]
 
+    def test_zero_element_has_no_degree(self):
+        with pytest.raises(ValueError, match="^zero element has no degree$"):
+            element_action_matrix(Element(), 2)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_per_word_definition(self, m):
         # Every word of degree p + q, split over every p-subset of positions,
