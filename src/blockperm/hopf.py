@@ -18,12 +18,14 @@ two factors of each term.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from blockperm._linear import LinearCombination, parse_terms
 from blockperm.monoid import (
     UBP,
+    _check_ceiling,
     _cut,
+    _matched_positions,
     breaking_points,
     compose,
     concat,
@@ -168,14 +170,11 @@ def pairing(x: Element, y: Element) -> int:
 
 def is_primitive(x: Element) -> bool:
     """True iff the coproduct has only the two boundary terms."""
-    n = x.degree()
-    if n < 1:
+    if x.degree() < 1:
         raise ValueError("primitivity needs degree >= 1")
     empty = identity(0)
-    expected = TensorElement(
-        {(f, empty): a for f, a in x.terms.items()}
-    ) + TensorElement({(empty, f): a for f, a in x.terms.items()})
-    return coproduct(x) == expected
+    ends = [(pair, a) for f, a in x.terms.items() for pair in ((f, empty), (empty, f))]
+    return coproduct(x) == TensorElement(ends)
 
 
 def domain_class_sum(a: SetPartition) -> Element:
@@ -199,8 +198,8 @@ def right_action(x: Element, h: UBP) -> Element:
 
 def _expand(coords: Element, below: bool) -> Element:
     """Each key g adds its coefficient to every f of its component (the
-    diagrams with g's domain partition) with f <= g if ``below``, else
-    g <= f.  Keys are grouped by their top row, which names the domain."""
+    diagrams with g's domain partition) with f <= g if ``below``, else g <= f,
+    by containment of the component's masks.  Keys are grouped by top row."""
     by_top: dict[tuple[int, ...], list[tuple[UBP, int]]] = {}
     for g, c in coords.terms.items():
         by_top.setdefault(g.top, []).append((g, c))
@@ -215,24 +214,25 @@ def _expand(coords: Element, below: bool) -> Element:
     return Element(pairs)
 
 
-def _back_substitute(x: Element, below: bool) -> Element:
-    """Invert :func:`_expand` by back-substitution through each unitriangular
-    component, from its top if ``below``, else from its bottom; no Mobius
-    function is assumed.  Decreasing inversion count (a stable sort of the
-    canonical order) is a linear extension of the reversed weak order."""
-    pairs = []
-    one_per_top = {f.top: f for f in x.terms}
-    for a in sorted(f.domain for f in one_per_top.values()):
-        component = sorted(masked_component(a), key=lambda node: -node[0].bit_count())
-        solved: list[tuple[int, UBP, int]] = []
-        for m_g, g in component if below else reversed(component):
-            c = x.coeff(g) - sum(
-                ch for m_h, _, ch in solved if (m_g & ~m_h if below else m_h & ~m_g) == 0
-            )
-            if c:
-                solved.append((m_g, g, c))
-        pairs.extend((g, c) for _, g, c in solved)
-    return Element(pairs)
+def _inverse_terms(x: Element, below: bool) -> Iterator[tuple[UBP, int]]:
+    """The terms of the inverse of :func:`_expand`, by the weak order's Mobius
+    function (Bjorner 1984): (-1)^|J| g_J for each set J of g's left descents i,
+    xi^{-1}(i) > xi^{-1}(i + 1) (ascents if not ``below``), where g_J reverses g's
+    bottom row on a - 1..b for each maximal run a..b of J.  A component is a lower
+    ideal, so it holds g_J iff g_J is a block shuffle: iff no run repeats a label."""
+    for g, c in x.terms.items():
+        _check_ceiling(g.n)
+        w = _matched_positions(g.bot, g.top)  # w[i - 1] = xi^{-1}(i)
+        free = [i for i in range(1, g.n) if (w[i - 1] > w[i]) == below]
+        for s in range(1 << len(free)):
+            J = [i for k, i in enumerate(free) if s >> k & 1]
+            bot = list(g.bot)
+            for a, b in zip([i for i in J if i - 1 not in J], [i for i in J if i + 1 not in J]):
+                if len(set(bot[a - 1:b + 1])) < b - a + 2:
+                    break
+                bot[a - 1:b + 1] = reversed(bot[a - 1:b + 1])
+            else:
+                yield UBP._trusted(g.top, tuple(bot)), -c if len(J) % 2 else c
 
 
 def from_lower_basis(coords: Element) -> Element:
@@ -242,8 +242,8 @@ def from_lower_basis(coords: Element) -> Element:
 
 
 def to_lower_basis(x: Element) -> Element:
-    """Invert :func:`from_lower_basis`."""
-    return _back_substitute(x, below=True)
+    """Invert :func:`from_lower_basis`: 2^|left descents| terms per diagram."""
+    return Element(_inverse_terms(x, below=True))
 
 
 def from_upper_basis(coords: Element) -> Element:
@@ -254,7 +254,7 @@ def from_upper_basis(coords: Element) -> Element:
 
 def to_upper_basis(x: Element) -> Element:
     """Invert :func:`from_upper_basis`."""
-    return _back_substitute(x, below=False)
+    return Element(_inverse_terms(x, below=False))
 
 
 def ubp_counts(limit: int) -> list[int]:

@@ -31,6 +31,7 @@ from blockperm.hopf import (
     ubp_counts,
 )
 from blockperm.monoid import (
+    EnumerationCeilingError,
     _cut,
     breaking_points,
     compose,
@@ -552,6 +553,15 @@ class TestBases:
             coords, down, up = Element(coords), Element(downs), Element(ups)
             assert from_lower_basis(coords) == down and to_lower_basis(down) == coords
             assert from_upper_basis(coords) == up and to_upper_basis(up) == coords
+
+    def test_basis_changes_refused_above_the_ceiling(self, monkeypatch):
+        monkeypatch.delenv("BLOCKPERM_CEILING", raising=False)
+        reversal = basis(from_permutation(Permutation(tuple(range(7, 0, -1)))))
+        for change in (from_lower_basis, to_lower_basis, from_upper_basis, to_upper_basis):
+            with pytest.raises(EnumerationCeilingError):
+                change(reversal)
+        monkeypatch.setenv("BLOCKPERM_CEILING", "7")
+        assert len(to_lower_basis(reversal)) == 64  # one term per set of its 6 descents
 
     def test_lower_product_degree_one(self):
         id1 = identity(1)

@@ -62,6 +62,25 @@ def test_stray_basis_term_is_caught(monkeypatch, side):
     assert getattr(verify, f"check_{side}_basis_product")(3).passed is False
 
 
+@pytest.fixture
+def cold_components():
+    """Empty the weak-order component cache before and after a test that
+    patches the masks it stores."""
+    monoid._component.cache_clear()
+    yield
+    monoid._component.cache_clear()
+
+
+def test_order_with_only_trivial_relations_is_caught(monkeypatch, cold_components):
+    # One new bit per permutation: each block shuffle is comparable only to
+    # itself, so both sum bases collapse to the diagram basis.
+    bits: dict = {}
+    monkeypatch.setattr(monoid, "_inversion_mask", lambda w: 1 << bits.setdefault(w, len(bits)))
+    for side in ("lower", "upper"):
+        assert getattr(verify, f"check_{side}_basis_roundtrip")(3).passed is False
+        assert getattr(verify, f"check_{side}_basis_product")(3).passed is False
+
+
 def test_broken_absorption_is_caught_on_diagrams(monkeypatch, cold_composition_table):
     b1, s1 = merge_generator(2, 1), transposition_generator(2, 1)
     compose = verify.compose
