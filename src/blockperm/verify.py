@@ -1,12 +1,12 @@
 """Named verification batteries over the whole package.
 
 Each check is a top-level function ``check_x(max_n=None) -> Check``, made by
-:func:`_check` from a body that tests one law.  The registration names the
-check's suite, its title and its default degree bound, which ``max_n`` can
-only lower.  Suites list their checks in definition order, so reports are
-stable and the command line can run them, optionally in parallel across
-checks.  The acceptance tests call the same functions with their stated
-bounds.
+:func:`_check` from a body that tests one law, with its suite, its title and
+its default degree bound, which ``max_n`` can only lower.  Suites list their
+checks in definition order, so reports are stable; the command line runs
+them, optionally in parallel, and the acceptance tests at their stated bounds.
+Each Hopf law is one predicate over one case (``_counital(f)`` and so on):
+its check body drives it over the cases up to the bound, the tests past it.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ def _check(suite: str, title: str, bound: int | None = None) -> Callable:
 
     The body takes the degree bound, ``bound`` lowered to ``max_n`` (no
     argument when the check has no bound), and returns its passing detail
-    text, or ``_fail(detail)``.  The decorated name is bound to
-    ``check(max_n=None) -> Check``, which ``run_suite`` can send to worker
-    processes; ``check.body`` is the body itself, to run a law past its
-    bound."""
+    text, or ``_fail(detail)``; a Hopf law's body drives the law's predicate
+    over its cases.  The decorated name is bound to ``check(max_n=None) ->
+    Check``, which ``run_suite`` can send to worker processes; ``check.body``
+    is the body itself, to run a law past its bound."""
 
     def register(body: Callable[..., str]) -> Callable[..., Check]:
         # Named as the body, so that it pickles by reference, but with its own
@@ -494,96 +494,96 @@ def check_hasse_components(limit: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# hopf suite
+# hopf suite: the laws, one predicate each, and the drivers that check them
+
+
+def _coproduct_terms(f: UBP):
+    """The terms ((a, b), c) of the coproduct of f."""
+    return hopf.coproduct(Element.basis(f)).terms.items()
+
+
+def _associative(f: UBP, g: UBP, h: UBP) -> bool:
+    """(fg)h = f(gh)."""
+    x, y, z = Element.basis(f), Element.basis(g), Element.basis(h)
+    return hopf.product(hopf.product(x, y), z) == hopf.product(x, hopf.product(y, z))
+
+
+def _coassociative(f: UBP) -> bool:
+    """(Delta (x) id) Delta f = (id (x) Delta) Delta f, as sums of triples."""
+    delta = _coproduct_terms(f)
+    lhs = LinearCombination(
+        ((a1, a2, b), c * d) for (a, b), c in delta for (a1, a2), d in _coproduct_terms(a)
+    )
+    rhs = LinearCombination(
+        ((a, b1, b2), c * d) for (a, b), c in delta for (b1, b2), d in _coproduct_terms(b)
+    )
+    return lhs == rhs
+
+
+def _counital(f: UBP) -> bool:
+    """Sum of eps(a) b = f = sum of a eps(b) over the terms a (x) b of Delta f."""
+    x, delta = Element.basis(f), _coproduct_terms(f)
+    left = Element((b, c * hopf.counit(Element.basis(a))) for (a, b), c in delta)
+    right = Element((a, c * hopf.counit(Element.basis(b))) for (a, b), c in delta)
+    return left == x and right == x
+
+
+def _bialgebra_compatible(f: UBP, g: UBP) -> bool:
+    """Delta(fg) = Delta(f) Delta(g), factorwise."""
+    x, y, delta = Element.basis(f), Element.basis(g), hopf.coproduct
+    return delta(hopf.product(x, y)) == hopf.tensor_product(delta(x), delta(y))
+
+
+def _antipode_identities(f: UBP) -> bool:
+    """Sum of S(a) b = eps(f) 1 = sum of a S(b) over the terms a (x) b of Delta f."""
+    cuts = [(Element.basis(a), Element.basis(b), c) for (a, b), c in _coproduct_terms(f)]
+    left = Element(
+        (g, c * d) for a, b, c in cuts for g, d in hopf.product(hopf.antipode(a), b).terms.items()
+    )
+    right = Element(
+        (g, c * d) for a, b, c in cuts for g, d in hopf.product(a, hopf.antipode(b)).terms.items()
+    )
+    unit = hopf.counit(Element.basis(f)) * Element.unit()
+    return left == unit and right == unit
+
+
+def _each_diagram(law: Callable[[UBP], bool], limit: int) -> str:
+    """Drive ``law`` over every diagram of degree <= limit."""
+    for f in itertools.chain(*map(enumerate_ubp, range(limit + 1))):
+        if not law(f):
+            return _fail(f"fails for {f}")
+    return f"degree <= {limit}"
 
 
 @_check("hopf", "product is associative", 4)
 def check_hopf_associativity(limit: int) -> str:
-    elems, basis = _basis_by_degree(limit)
-    for f, g, h in _graded(elems, 3):
-        x, y, z = basis[f], basis[g], basis[h]
-        if hopf.product(hopf.product(x, y), z) != hopf.product(x, hopf.product(y, z)):
+    for f, g, h in _graded([enumerate_ubp(n) for n in range(limit + 1)], 3):
+        if not _associative(f, g, h):
             return _fail(f"fails at degrees {f.n},{g.n},{h.n}")
     return f"total degree <= {limit}"
 
 
 @_check("hopf", "coproduct is coassociative", 5)
 def check_hopf_coassociativity(limit: int) -> str:
-    deltas: dict = {}
-
-    def coproduct_terms(x):
-        # The same tensor factors recur under many diagrams: split each once.
-        if x not in deltas:
-            deltas[x] = hopf.coproduct(Element.basis(x)).terms.items()
-        return deltas[x]
-
-    for n in range(limit + 1):
-        for f in enumerate_ubp(n):
-            delta = coproduct_terms(f)
-            lhs = LinearCombination(
-                ((a1, a2, b), c * c2)
-                for (a, b), c in delta
-                for (a1, a2), c2 in coproduct_terms(a)
-            )
-            rhs = LinearCombination(
-                ((a, b1, b2), c * c2)
-                for (a, b), c in delta
-                for (b1, b2), c2 in coproduct_terms(b)
-            )
-            if lhs != rhs:
-                return _fail(f"fails for {f}")
-    return f"degree <= {limit}"
+    return _each_diagram(_coassociative, limit)
 
 
 @_check("hopf", "counit is a two-sided counit for the coproduct", 4)
 def check_counit_axiom(limit: int) -> str:
-    for n in range(limit + 1):
-        for f in enumerate_ubp(n):
-            x = Element.basis(f)
-            delta = hopf.coproduct(x).terms.items()
-            left = Element((b, c * hopf.counit(Element.basis(a))) for (a, b), c in delta)
-            right = Element((a, c * hopf.counit(Element.basis(b))) for (a, b), c in delta)
-            if left != x or right != x:
-                return _fail(f"fails for {f}")
-    return f"degree <= {limit}"
+    return _each_diagram(_counital, limit)
 
 
 @_check("hopf", "coproduct of a product is the product of coproducts", 4)
 def check_bialgebra_compatibility(limit: int) -> str:
-    elems, basis = _basis_by_degree(limit)
-    delta = {f: hopf.coproduct(x) for f, x in basis.items()}
-    for f, g in _graded(elems):
-        lhs = hopf.coproduct(hopf.product(basis[f], basis[g]))
-        if lhs != hopf.tensor_product(delta[f], delta[g]):
+    for f, g in _graded([enumerate_ubp(n) for n in range(limit + 1)]):
+        if not _bialgebra_compatible(f, g):
             return _fail(f"fails at degrees {f.n},{g.n}")
     return f"total degree <= {limit}"
 
 
 @_check("hopf", "antipode satisfies both defining identities", 4)
 def check_antipode_axioms(limit: int) -> str:
-    unit = Element.unit()
-    for n in range(limit + 1):
-        for f in enumerate_ubp(n):
-            x = Element.basis(f)
-            delta = hopf.coproduct(x).terms.items()
-            left = Element(
-                (g, c * cg)
-                for (a, b), c in delta
-                for g, cg in hopf.product(
-                    hopf.antipode(Element.basis(a)), Element.basis(b)
-                ).terms.items()
-            )
-            right = Element(
-                (g, c * cg)
-                for (a, b), c in delta
-                for g, cg in hopf.product(
-                    Element.basis(a), hopf.antipode(Element.basis(b))
-                ).terms.items()
-            )
-            target = hopf.counit(x) * unit
-            if left != target or right != target:
-                return _fail(f"fails for {f}")
-    return f"degree <= {limit}"
+    return _each_diagram(_antipode_identities, limit)
 
 
 @_check("hopf", "domain-class sums absorb permutations and merge generators", 4)

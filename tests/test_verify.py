@@ -49,6 +49,26 @@ def test_dropped_coproduct_term_is_caught(monkeypatch):
     assert verify.check_hopf_coassociativity(3).passed is False
 
 
+def test_antipode_with_a_flipped_sign_is_caught(monkeypatch):
+    antipode = hopf.antipode
+    monkeypatch.setattr(
+        hopf, "antipode", lambda x: -antipode(x) if x.degrees() == {3} else antipode(x)
+    )
+    check = verify.check_antipode_axioms(3)
+    assert check.passed is False
+    assert check.detail == f"fails for {enumerate_ubp(3)[0]}"
+    assert not all(verify._antipode_identities(f) for f in enumerate_ubp(3))
+    assert all(verify._antipode_identities(f) for f in enumerate_ubp(2))
+
+
+def test_counit_at_degree_one_is_caught(monkeypatch):
+    counit = hopf.counit
+    monkeypatch.setattr(hopf, "counit", lambda x: 1 if x.degrees() == {1} else counit(x))
+    check = verify.check_counit_axiom(3)
+    assert check.passed is False
+    assert check.detail == f"fails for {identity(1)}"
+
+
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_stray_basis_term_is_caught(monkeypatch, side):
     expand = getattr(hopf, f"from_{side}_basis")
