@@ -384,7 +384,7 @@ def masked_component(a: SetPartition) -> tuple[tuple[int, UBP], ...]:
 
 # Weak-order components kept per process, one per domain partition.  `verify
 # all --max-n 4` fills 24 entries (every partition of degree <= 4) and the
-# seeded request mix (seed 1) 55.  All 279 partitions of degree <= 6 fit, so
+# seeded request mix (seed 1) 38.  All 279 partitions of degree <= 6 fit, so
 # none of these evicts, and a long-lived process stays bounded.
 COMPONENT_CACHE_SIZE = 512
 

@@ -86,7 +86,7 @@ def all_permutations(n: int) -> list[Permutation]:
 
 
 # Inversion masks kept per process.  `verify all --max-n 4` fills 34 entries
-# and the seeded request mix at most 140, so neither evicts.
+# and a pass of the request mix at most 153 (seeds 1-10), so neither evicts.
 INVERSION_CACHE_SIZE = 1024
 
 

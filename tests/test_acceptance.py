@@ -8,6 +8,8 @@ runtime budget, and prints one PASS/FAIL line.  Run with ``pytest -v`` (add
 
 import time
 
+import pytest
+
 from blockperm import verify
 from blockperm.perms import max_shuffle, shuffles, weak_leq
 
@@ -145,3 +147,26 @@ def test_criterion_13_tensor_actions():
 def test_criterion_14_primitives():
     with _Budget(14, "expected primitive elements", 1):
         _require(verify.check_primitives(None))
+
+
+# The registered checks that no criterion above names, each run here at its
+# built-in bound, so that every check of `verify all` runs in the tests at the
+# bound the command line uses.
+UNNAMED_CHECKS = [
+    verify.check_factorization,
+    verify.check_meet_morphism,
+    verify.check_relabeling_laws,
+    verify.check_associativity,
+    verify.check_breaking_splits,
+    verify.check_power_sum_counts,
+    verify.check_power_sum_invariance,
+    verify.check_roundtrip_embedding,
+    verify.check_action_orientation,
+    verify.check_generator_matrix_relations,
+    verify.check_generator_factorization_route,
+]
+
+
+@pytest.mark.parametrize("check", UNNAMED_CHECKS, ids=lambda check: check.__name__)
+def test_check_at_its_bound(check):
+    _require(check())

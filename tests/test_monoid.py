@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import itertools
-import math
 import pickle
 import random
 from pathlib import Path
@@ -51,13 +50,10 @@ from blockperm.monoid import (
 from blockperm.partitions import (
     SetPartition,
     _block_text,
-    block_shuffles,
-    meet,
     parse_set_partition,
-    partition_action,
     set_partitions,
 )
-from blockperm.perms import Permutation, all_permutations, shuffles
+from blockperm.perms import Permutation, all_permutations
 from test_perms import inversion_set, tampered
 
 
@@ -286,14 +282,11 @@ class TestCompose:
             assert compose(f, identity(3)) == f
 
     def test_merge_absorbs_swap(self):
-        # FitzGerald's relations b_i s_i = s_i b_i = b_i, and b_i (s_i x) ==
-        # b_i x for every x, with s_i built as a diagram.
+        # b_i (s_i x) == b_i x for every x, with s_i built as a diagram.
         for n in range(2, 6):
             for i in range(1, n):
                 s = transposition_generator(n, i)
                 b = merge_generator(n, i)
-                assert compose(b, s) == b
-                assert compose(s, b) == b
                 for x in enumerate_ubp(n):
                     assert compose(b, compose(s, x)) == compose(b, x)
 
@@ -309,14 +302,6 @@ class TestCompose:
             for t in all_permutations(3):
                 assert from_permutation(s * t) == compose(
                     from_permutation(s), from_permutation(t)
-                )
-
-    def test_meet_of_idempotents(self):
-        parts = set_partitions(4)
-        for a in parts:
-            for b in parts:
-                assert compose(id_of_partition(a), id_of_partition(b)) == id_of_partition(
-                    meet(a, b)
                 )
 
     def test_size_mismatch(self):
@@ -335,19 +320,11 @@ class TestCompose:
                     assert revalidated(h) == h
 
     def test_relabeling_sides(self):
+        # The side that check_relabeling_laws leaves out: a permutation on the
+        # right keeps the codomain.
         for f in enumerate_ubp(3):
             for sigma in all_permutations(3):
-                left = left_compose_perm(sigma, f)
-                assert left.domain == f.domain
-                assert left.codomain == partition_action(sigma, f.codomain)
-                right = compose(f, from_permutation(sigma))
-                assert right.domain == partition_action(sigma.inverse(), f.domain)
-                assert right.codomain == f.codomain
-
-    def test_associative_exhaustive_n2(self):
-        elems = enumerate_ubp(2)
-        for f, g, h in itertools.product(elems, repeat=3):
-            assert compose(compose(h, g), f) == compose(h, compose(g, f))
+                assert compose(f, from_permutation(sigma)).codomain == f.codomain
 
 
 @st.composite
@@ -464,22 +441,11 @@ class TestComposeProperties:
     def test_associativity_sampled(self, f, g, h):
         assert compose(compose(h, g), f) == compose(h, compose(g, f))
 
-    @given(ubp_strategy(), ubp_strategy())
-    @settings(max_examples=200, deadline=None)
-    def test_antihomomorphism_of_inversion(self, f, g):
-        assert diagram_inverse(compose(f, g)) == compose(
-            diagram_inverse(g), diagram_inverse(f)
-        )
-
 
 class TestDiagramInverse:
     def test_on_permutations(self):
         for s in all_permutations(4):
             assert diagram_inverse(from_permutation(s)) == from_permutation(s.inverse())
-
-    def test_involution(self):
-        for f in enumerate_ubp(3):
-            assert diagram_inverse(diagram_inverse(f)) == f
 
     def test_field_swap_example(self):
         f = the_f1()
@@ -487,17 +453,6 @@ class TestDiagramInverse:
         assert g.domain == parse_set_partition("{1,2}{3}")
         assert g.codomain == parse_set_partition("{1,3}{2}")
         assert g.codomain.blocks[block_map(g)[0]] == (1, 3)
-
-    def test_inverse_monoid_identities(self):
-        for f in enumerate_ubp(3):
-            fi = diagram_inverse(f)
-            assert compose(compose(f, fi), f) == f
-            assert compose(compose(fi, f), fi) == fi
-
-    def test_idempotents_are_partition_identities(self):
-        for n in range(4):
-            idem = {f for f in enumerate_ubp(n) if compose(f, f) == f}
-            assert idem == {id_of_partition(a) for a in set_partitions(n)}
 
 
 class TestConcat:
@@ -777,11 +732,6 @@ class TestEnumeration:
         random.Random(5).shuffle(xs)
         assert sorted(xs, key=UniformBlockPermutation._sort_key) == sorted(xs)
 
-    def test_count_by_components(self):
-        for n in range(5):
-            total = sum(len(block_shuffles(a)) for a in set_partitions(n))
-            assert total == count_ubp(n)
-
     def test_ceiling(self):
         with pytest.raises(EnumerationCeilingError, match="ceiling"):
             enumerate_ubp(7)
@@ -851,23 +801,13 @@ class TestSplit:
         with pytest.raises(TypeError, match="slice indices"):
             split_at_breaking_point(parse_ubp(text), 1.0)
 
-    def test_reassembly_and_uniqueness(self):
+    def test_factors_have_the_cut_degrees(self):
+        # check_breaking_splits reassembles f from the factors and the shuffle.
         for n in range(5):
             for f in enumerate_ubp(n):
                 for i in breaking_points(f):
-                    xi, left, right = split_at_breaking_point(f, i)
+                    _, left, right = split_at_breaking_point(f, i)
                     assert left.n == i and right.n == n - i
-                    rebuilt = compose(
-                        concat(left, right), from_permutation(xi.inverse())
-                    )
-                    assert rebuilt == f
-                    matches = [
-                        eta
-                        for eta in shuffles(i, n - i)
-                        if compose(concat(left, right), from_permutation(eta.inverse()))
-                        == f
-                    ]
-                    assert matches == [xi]
 
 
 class TestShuffleFactorization:
@@ -883,13 +823,6 @@ class TestShuffleFactorization:
 
     def test_f1(self):
         assert shuffle_factorization(the_f1()) == Permutation((1, 3, 2))
-
-    def test_reconstruction(self):
-        for n in range(5):
-            for f in enumerate_ubp(n):
-                xi = shuffle_factorization(f)
-                assert compose(from_permutation(xi), id_of_partition(f.domain)) == f
-                assert xi in set(block_shuffles(f.domain))
 
 
 class TestWeakOrder:
@@ -930,17 +863,6 @@ class TestWeakOrder:
     def test_single_node_component(self):
         nodes, covers = hasse_component(parse_set_partition("{1,2,3,4}"))
         assert len(nodes) == 1 and covers == []
-
-    def test_covers_are_covers(self):
-        a = parse_set_partition("{1,4}{2,3}")
-        nodes, covers = hasse_component(a)
-        assert len(nodes) == math.factorial(4) // 4
-        for i, j in covers:
-            assert weak_leq(nodes[i], nodes[j]) and nodes[i] != nodes[j]
-            for k in range(len(nodes)):
-                if k in (i, j):
-                    continue
-                assert not (weak_leq(nodes[i], nodes[k]) and weak_leq(nodes[k], nodes[j]))
 
     def test_cached_component_builds_no_diagram_per_cover(self, monkeypatch):
         # Covers are looked up by bottom row, so a second call on a cached

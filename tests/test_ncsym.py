@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from blockperm.hopf import Element, coproduct, product
+from blockperm.hopf import Element
 from blockperm.monoid import id_of_partition, identity
 from blockperm.ncsym import (
     NCSymElement,
@@ -21,7 +21,6 @@ from blockperm.partitions import (
     parse_set_partition,
     set_partitions,
 )
-from blockperm.perms import all_permutations
 from test_partitions import refines_leq
 
 
@@ -62,26 +61,12 @@ class TestPowerSumWords:
         assert (1, 3, 1, 3) in words
         assert (1, 1, 1, 1) in words
 
-    def test_count_is_power(self):
-        for n in range(5):
-            for a in set_partitions(n):
-                for k in (1, 2, 3):
-                    words = power_sum_words(a, k)
-                    assert len(words) == k ** a.num_blocks
-                    assert len(set(words)) == len(words)
-
     def test_membership_matches_kernel_order(self):
         # a word appears iff its kernel coarsens onto the partition
         for a in set_partitions(4):
             words = set(power_sum_words(a, 2))
             for w in itertools.product((1, 2), repeat=4):
                 assert (w in words) == refines_leq(kernel(w), a)
-
-    def test_letter_renaming_invariance(self):
-        for a in set_partitions(4):
-            words = power_sum_words(a, 3)
-            for sigma in all_permutations(3):
-                assert sorted(tuple(sigma(x) for x in w) for w in words) == words
 
 
 class TestProduct:
@@ -95,20 +80,6 @@ class TestProduct:
             pa = NCSymElement.basis(a)
             assert p_product(pa, one) == pa
             assert p_product(one, pa) == pa
-
-    def test_concatenation_oracle(self):
-        for na in range(4):
-            for nb in range(4 - na + 1):
-                for a in set_partitions(na):
-                    for b in set_partitions(nb):
-                        for k in (2, 3):
-                            lhs = Counter(
-                                wa + wb
-                                for wa in power_sum_words(a, k)
-                                for wb in power_sum_words(b, k)
-                            )
-                            rhs = Counter(power_sum_words(cross(a, b), k))
-                            assert lhs == rhs
 
     def test_associative(self):
         parts = set_partitions(2)
@@ -132,43 +103,6 @@ class TestCoproduct:
         delta = p_coproduct(NCSymElement.basis(a))
         assert delta.terms[(one, one)] == 2
         assert delta.terms[(a, empty)] == 1
-
-    def test_displayed_eight_terms(self):
-        a = parse_set_partition("{1,2,6}{3,5}{4}")
-        delta = p_coproduct(NCSymElement.basis(a))
-        pp = parse_set_partition
-        empty = SetPartition(0, ())
-        assert dict(delta.terms) == {
-            (a, empty): 1,
-            (pp("{1,2,5}{3,4}"), pp("{1}")): 1,
-            (pp("{1,2,4}{3}"), pp("{1,2}")): 1,
-            (pp("{1,3}{2}"), pp("{1,2,3}")): 1,
-            (pp("{1,2,3}"), pp("{1,3}{2}")): 1,
-            (pp("{1,2}"), pp("{1,2,4}{3}")): 1,
-            (pp("{1}"), pp("{1,2,5}{3,4}")): 1,
-            (empty, a): 1,
-        }
-
-    def test_bicolored_word_oracle(self):
-        k1 = k2 = 2
-        for n in range(5):
-            for a in set_partitions(n):
-                delta = p_coproduct(NCSymElement.basis(a))
-                expected = Counter()
-                for (left, right), c in delta.terms.items():
-                    for wl in power_sum_words(left, k1):
-                        for wr in power_sum_words(right, k2):
-                            expected[(wl, wr)] += c
-                labels = a.position_labels()
-                actual = Counter()
-                for colours in itertools.product(
-                    range(1, k1 + k2 + 1), repeat=a.num_blocks
-                ):
-                    word = [colours[labels[i]] for i in range(n)]
-                    wl = tuple(x for x in word if x <= k1)
-                    wr = tuple(x - k1 for x in word if x > k1)
-                    actual[(wl, wr)] += 1
-                assert +expected == +actual
 
     def test_coassociative(self):
         for a in set_partitions(3):
@@ -202,12 +136,6 @@ class TestEmbedding:
         a = parse_set_partition("{1,2}")
         assert to_element(NCSymElement.basis(a)) == Element.basis(id_of_partition(a))
 
-    def test_roundtrip(self):
-        for n in range(4):
-            for a in set_partitions(n):
-                u = NCSymElement.basis(a)
-                assert from_element(to_element(u)) == u
-
     def test_rejects_outside_span(self):
         with pytest.raises(ValueError, match="not in the span"):
             from_element(Element.basis(identity(2)))
@@ -225,40 +153,6 @@ class TestEmbedding:
             for a in set_partitions(n):
                 u = 3 * NCSymElement.basis(a)
                 assert from_element(to_element(u)) == u
-
-    def test_product_transport(self):
-        for na in range(3):
-            for nb in range(3 - na + 1):
-                for a in set_partitions(na):
-                    for b in set_partitions(nb):
-                        pa, pb = NCSymElement.basis(a), NCSymElement.basis(b)
-                        lhs = product(to_element(pa), to_element(pb))
-                        assert lhs == to_element(p_product(pa, pb))
-                        assert from_element(lhs) == p_product(pa, pb)
-
-    def test_coproduct_transport(self):
-        from blockperm.hopf import TensorElement
-
-        for n in range(4):
-            for a in set_partitions(n):
-                lhs = coproduct(to_element(NCSymElement.basis(a)))
-                rhs = TensorElement()
-                for (l, r), c in p_coproduct(NCSymElement.basis(a)).terms.items():
-                    for fl, cl in to_element(NCSymElement.basis(l)).terms.items():
-                        for fr, cr in to_element(NCSymElement.basis(r)).terms.items():
-                            rhs = rhs + TensorElement.basis((fl, fr), c * cl * cr)
-                assert lhs == rhs
-
-    def test_span_closed_under_product(self):
-        for na in range(3):
-            for nb in range(3 - na + 1):
-                for a in set_partitions(na):
-                    for b in set_partitions(nb):
-                        x = product(
-                            to_element(NCSymElement.basis(a)),
-                            to_element(NCSymElement.basis(b)),
-                        )
-                        from_element(x)  # must not raise
 
 
 class TestText:

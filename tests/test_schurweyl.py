@@ -8,7 +8,6 @@ from blockperm.hopf import Element, product
 from blockperm.monoid import (
     compose,
     enumerate_ubp,
-    from_permutation,
     identity,
     merge_generator,
     transposition_generator,
@@ -224,10 +223,6 @@ def reference_group_matrix(g, words, r):
 
 
 class TestCommutation:
-    @pytest.mark.parametrize("n,m,r", [(2, 2, 2), (2, 4, 3), (3, 3, 2), (4, 2, 4)])
-    def test_commutes(self, n, m, r):
-        assert all(c for *_, c in commutation_pairs(n, m, r))
-
     def test_trivial_degrees(self):
         assert list(commutation_pairs(1, 5, 3)) == []
 
@@ -294,14 +289,6 @@ class TestCommutation:
         pairs = list(commutation_pairs(2, 2, r))
         assert [(i, c) for i, _, c in pairs] == [(0, commutes)] * 3 + [(1, True)] * 3
 
-    def test_battery_dimension_256(self):
-        for n in range(2, 9):
-            for m in range(1, 17):
-                if m**n > 256:
-                    break
-                for r in (1, 2, 3, 4):
-                    assert all(c for *_, c in commutation_pairs(n, m, r)), (n, m, r)
-
 
 class TestRank:
     def test_exact_sparse_rank_basics(self):
@@ -313,10 +300,6 @@ class TestRank:
     def test_rank_needs_no_pivot_luck(self):
         rows = [{0: 2, 1: 4}, {0: 3, 1: 6}, {0: 0, 1: 1}]
         assert exact_sparse_rank(rows) == 2
-
-    @pytest.mark.parametrize("n,m,expected", [(1, 1, 1), (2, 4, 3), (3, 6, 16)])
-    def test_span_ranks_at_doubled_dimension(self, n, m, expected):
-        assert action_span_rank(n, m) == expected
 
     def test_rank_reported_below_threshold(self):
         # not asserted equal to the monoid size; recorded only
@@ -380,15 +363,6 @@ class TestConvolution:
                                     row[word_index(left + right, m)] += 1
                         expected = ActionMatrix(m ** (p + q), rows)
                         assert convolution_action(f, g, m) == expected, (f, g)
-
-    def test_matches_product_up_to_degree_three(self):
-        for p in range(3):
-            for q in range(3 - p + 1):
-                for f in enumerate_ubp(p):
-                    for g in enumerate_ubp(q):
-                        conv = convolution_action(f, g, 2)
-                        prod = product(Element.basis(f), Element.basis(g))
-                        assert conv == element_action_matrix(prod, 2)
 
 
 def test_group_generator_inventory():
